@@ -137,18 +137,6 @@ def mul(a, b) -> Var:
     return out
 
 
-def div(a, b) -> Var:
-    a, b = _to_var(a), _to_var(b)
-    out = Var(a.value / b.value, (a, b))
-
-    def _bw(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    out._backward = _bw
-    return out
-
-
 def matmul(a: Var, b: Var) -> Var:
     a, b = _to_var(a), _to_var(b)
     out = Var(a.value @ b.value, (a, b))
@@ -249,30 +237,6 @@ def sigmoid(a: Var) -> Var:
 
     def _bw(g):
         _accum(a, g * s * (1.0 - s))
-
-    out._backward = _bw
-    return out
-
-
-def exp(a: Var) -> Var:
-    a = _to_var(a)
-    e = np.exp(a.value)
-    out = Var(e, (a,))
-
-    def _bw(g):
-        _accum(a, g * e)
-
-    out._backward = _bw
-    return out
-
-
-def sqrt(a: Var) -> Var:
-    a = _to_var(a)
-    r = np.sqrt(a.value)
-    out = Var(r, (a,))
-
-    def _bw(g):
-        _accum(a, g * 0.5 / r)
 
     out._backward = _bw
     return out

@@ -292,6 +292,20 @@ def cmd_eval(config: dict) -> int:
         return cmd_ablate(config)
     target = load_city(paths["dataset_target"]) if protocol == "transfer" else None
     pretrained = _load_pretrained(config)
+    if pretrained is not None:
+        if pretrained[0].config != mc:
+            raise VersionMismatchError(
+                "checkpoint was trained with a different model config than this config and dataset"
+            )
+        # a pretrained model and bank are only cold-start for the holdout they were trained on
+        trained_holdout = pretrained[0].holdout
+        for seed in config["seeds"]:
+            holdout = choose_holdout(city.n_regions, config["n_holdout"], seed)
+            if holdout != trained_holdout:
+                raise VersionMismatchError(
+                    f"seed {seed} holds out regions {holdout}, but the checkpoint was trained "
+                    f"with holdout {trained_holdout}; train one checkpoint per seed"
+                )
 
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
@@ -300,7 +314,7 @@ def cmd_eval(config: dict) -> int:
         run = None
         if pretrained is not None:
             model, bank = pretrained
-            holdout = choose_holdout(city.n_regions, config["n_holdout"], seed)
+            holdout = model.holdout
             observable = [i for i in range(city.n_regions) if i not in set(holdout)]
             run = ProtocolRun(
                 model=model,

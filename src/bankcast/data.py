@@ -323,8 +323,8 @@ def load_city(path: str | Path) -> CityDataset:
             split_boundaries=tuple(doc["split_boundaries"]),
             archetypes=archetypes,
         )
-    except (KeyError, ValueError) as e:
-        raise DataError(f"dataset file {path} is malformed: {e}")
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"dataset file {path} is malformed: {type(e).__name__}: {e}")
     city.validate()
     return city
 

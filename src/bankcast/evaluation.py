@@ -117,6 +117,7 @@ def train_for_protocol(
     windows = make_windows(city, window, horizon)
     train_inst, val_inst, _ = split_windows(windows, ratios)
     model = Model(model_config, seed=train_config.seed)
+    model.holdout = holdout
     result = train(model, city, observable, train_inst, val_inst, train_config)
     return ProtocolRun(
         model=model,

@@ -58,17 +58,6 @@ class ModelConfig:
     stop_key_grad: bool = False
 
 
-_GROUP_SUM_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _group_sum_matrix(n: int, k: int) -> np.ndarray:
-    """(n, n*k) 0/1 matrix summing k-sized row groups; cached, read-only."""
-    key = (n, k)
-    if key not in _GROUP_SUM_CACHE:
-        _GROUP_SUM_CACHE[key] = np.kron(np.eye(n), np.ones((1, k)))
-    return _GROUP_SUM_CACHE[key]
-
-
 @dataclass
 class ForwardResult:
     y_hat: Var  # (n, H) fused prediction, normalized space
@@ -89,6 +78,8 @@ class Model:
         self.fusion = FusionParams.init(config, self.store)
         self.norm_mean = 0.0
         self.norm_std = 1.0
+        # cold-start regions kept out of training and the bank, when known
+        self.holdout: list[int] | None = None
 
     # -- normalization ------------------------------------------------------
 
@@ -227,7 +218,7 @@ class Model:
         )
         alpha = ad.row_softmax(ad.reshape(scores_flat, (n, k)), temperature)
         weighted = ad.mul(ad.reshape(alpha, (n * k, 1)), ad.constant(self.normalize(bank.futures[flat_idx])))
-        prior = ad.matmul(ad.constant(_group_sum_matrix(n, k)), weighted)
+        prior = ad.reduce_sum(ad.reshape(weighted, (n, k, -1)), axis=1)
         rows = [
             RetrievalRow(
                 indices=selected[i],
@@ -294,6 +285,7 @@ def save_checkpoint(model: Model, path: str | Path, config_hash: str | None = No
             for name, var in model.store.items()
         },
         "encoder_version": model.encoder_version(),
+        "holdout": model.holdout,
     }
     if config_hash is not None:
         doc["config_hash"] = config_hash
@@ -307,13 +299,17 @@ def load_checkpoint(path: str | Path) -> Model:
         raise DataError(f"checkpoint file not found: {path}")
     except json.JSONDecodeError as e:
         raise DataError(f"checkpoint file {path} is not valid JSON: {e}")
-    if doc.get("format") != "bankcast-checkpoint-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "bankcast-checkpoint-v1":
         raise DataError(f"unrecognized checkpoint format in {path}")
-    model = Model(ModelConfig(**doc["model_config"]))
-    model.set_norm(doc["norm"]["mean"], doc["norm"]["std"])
-    state = {
-        name: np.array(p["values"], dtype=np.float64).reshape(p["shape"])
-        for name, p in doc["params"].items()
-    }
-    model.store.load_state_dict(state)
+    try:
+        model = Model(ModelConfig(**doc["model_config"]))
+        model.set_norm(doc["norm"]["mean"], doc["norm"]["std"])
+        state = {
+            name: np.array(p["values"], dtype=np.float64).reshape(p["shape"])
+            for name, p in doc["params"].items()
+        }
+        model.store.load_state_dict(state)
+        model.holdout = doc.get("holdout")
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"checkpoint file {path} is malformed: {type(e).__name__}: {e}")
     return model

@@ -3,14 +3,15 @@
 Bank entries are (context, true history, future, hour) windows from a source
 train split. Queries and keys share one encoder that fuses a context branch
 with a temporal branch (history concatenated with an hour embedding) and
-normalizes the output to the unit sphere. Retrieval filters candidates to the
-query's hour, scores by inner product, keeps the top K (ties to the smaller
-entry index), softmax-weights them, and averages the stored futures into a
-prior.
+normalizes the output to the unit sphere.
 
-Scoring and selection run against the bank's cached key matrix; only the
-alignment loss re-encodes its selected entries so gradients can reach the
-key-side encoder.
+One routine, `select_top_batch`, does all top-K selection: it filters
+candidates to the query hour, scores every query row against the bank's
+cached key matrix with one GEMM, drops excluded entries, and keeps the top K
+per row (ties to the smaller entry index). The model runs it on a whole
+region set; `retrieve` runs it on one query and turns the selection into
+softmax weights and a future prior. Only the alignment loss re-encodes its
+selected entries so gradients can reach the key-side encoder.
 """
 
 from __future__ import annotations
@@ -104,15 +105,10 @@ class MemoryBank:
         self.histories = np.stack([e.history for e in entries])
         self.futures = np.stack([e.future for e in entries])
         self.hours = np.array([e.hour for e in entries], dtype=np.intp)
+        self.anchors = np.array([e.anchor for e in entries], dtype=np.int64)
+        self.region_ids = np.array([e.region_id for e in entries], dtype=np.int64)
         self.hour_index: dict[int, np.ndarray] = {
             h: np.flatnonzero(self.hours == h) for h in range(24)
-        }
-        # position of each entry inside its hour bucket, for O(1) self-exclusion
-        self.pos_in_hour = np.empty(len(entries), dtype=np.intp)
-        for idx in self.hour_index.values():
-            self.pos_in_hour[idx] = np.arange(idx.size)
-        self.entry_lookup = {
-            (e.anchor, e.region_id): i for i, e in enumerate(entries)
         }
         self.keys: np.ndarray | None = None
         self.hour_keys: dict[int, np.ndarray] = {}
@@ -198,47 +194,6 @@ class RetrievalRow:
     valid: bool  # False when the hour bucket had no candidates
 
 
-RetrievalResult = list[RetrievalRow]
-
-
-def _excluded_position(bank: MemoryBank, hour: int, exclude: tuple[int, int] | None) -> int:
-    """Position of the excluded entry inside the hour bucket, or -1."""
-    if exclude is None:
-        return -1
-    eidx = bank.entry_lookup.get((exclude[0], exclude[1]))
-    if eidx is None or bank.hours[eidx] != hour:
-        return -1
-    return int(bank.pos_in_hour[eidx])
-
-
-def _topk_from_scores(scores: np.ndarray, k: int, skip: int) -> np.ndarray:
-    # stable argsort on -scores keeps ascending entry-index order among ties
-    order = np.argsort(-scores, kind="stable")
-    if skip >= 0:
-        order = order[order != skip]
-    return order[:k]
-
-
-def select_top_entries(
-    bank: MemoryBank,
-    query: np.ndarray,
-    hour: int,
-    k: int,
-    exclude: tuple[int, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k candidate entry indices and their scores; ties go to the smaller index."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if bank.keys is None:
-        raise DataError("bank has no keys; call refresh_keys first")
-    cand = bank.hour_index.get(hour, np.empty(0, dtype=np.intp))
-    if cand.size == 0:
-        return cand, np.empty(0)
-    scores = bank.hour_keys[hour] @ query
-    order = _topk_from_scores(scores, k, _excluded_position(bank, hour, exclude))
-    return cand[order], scores[order]
-
-
 def select_top_batch(
     bank: MemoryBank,
     queries: np.ndarray,
@@ -246,7 +201,12 @@ def select_top_batch(
     k: int,
     excludes: list[tuple[int, int] | None] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """select_top_entries for many queries sharing one hour, with a single score GEMM."""
+    """Top-k entry indices and scores for each query row of one hour.
+
+    `excludes[i]`, an (anchor, region id) pair or None, drops that entry from
+    row i's candidates. Ties go to the smaller entry index; a row is shorter
+    than k when its hour bucket, after exclusion, holds fewer entries.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if bank.keys is None:
@@ -255,12 +215,22 @@ def select_top_batch(
     cand = bank.hour_index.get(hour, np.empty(0, dtype=np.intp))
     if cand.size == 0:
         return [(cand, np.empty(0))] * n
-    all_scores = queries @ bank.hour_keys[hour].T
+    scores = queries @ bank.hour_keys[hour].T
+    rows = [i for i, ex in enumerate(excludes or []) if ex is not None]
+    if rows:
+        ex = np.array([excludes[i] for i in rows], dtype=np.int64)
+        hit = (bank.anchors[cand] == ex[:, :1]) & (bank.region_ids[cand] == ex[:, 1:])
+        scores[rows] = np.where(hit, -np.inf, scores[rows])
+    # every candidate scoring at least the k-th largest score survives, so a
+    # stable sort of the survivors by -score keeps the smaller-index tie rule
+    pivot = cand.size - min(k, cand.size)
+    kth = np.partition(scores, pivot, axis=1)[:, pivot]
     out = []
     for i in range(n):
-        exclude = excludes[i] if excludes is not None else None
-        order = _topk_from_scores(all_scores[i], k, _excluded_position(bank, hour, exclude))
-        out.append((cand[order], all_scores[i][order]))
+        top = np.flatnonzero(scores[i] >= kth[i])
+        top = top[np.argsort(-scores[i, top], kind="stable")[:k]]
+        top = top[scores[i, top] > -np.inf]
+        out.append((cand[top], scores[i, top]))
     return out
 
 
@@ -275,7 +245,7 @@ def retrieve(
     """Hour-filtered top-k retrieval with temperature-softmax weights and future prior."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    idx, scores = select_top_entries(bank, query, hour, k, exclude)
+    [(idx, scores)] = select_top_batch(bank, query[None, :], hour, k, [exclude])
     if idx.size == 0:
         return RetrievalRow(
             indices=idx, weights=np.empty(0), prior=np.zeros(bank.horizon), valid=False
@@ -285,32 +255,22 @@ def retrieve(
     return RetrievalRow(indices=idx, weights=weights, prior=prior, valid=True)
 
 
-def future_nearest(bank: MemoryBank, candidate_idx: np.ndarray, true_future: np.ndarray) -> int:
-    """Among candidates, the entry whose stored future is L2-closest to the target.
-
-    Ties break to the smaller entry index.
-    """
-    diff = bank.futures[candidate_idx] - true_future[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    best = min(zip(d2, candidate_idx.tolist()))
-    return int(best[1])
-
-
 def future_nearest_batch(
     bank: MemoryBank, selected: list[np.ndarray], rows: list[int], true_futures: np.ndarray
 ) -> list[int]:
-    """future_nearest for several regions at once; true_futures is (H, n) raw."""
-    flat = np.concatenate([selected[i] for i in rows])
+    """For each listed row, the selected entry whose stored future is L2-closest
+    to that row's true future; true_futures is (H, n) raw.
+
+    Ties break to the smaller entry index.
+    """
     counts = [selected[i].size for i in rows]
-    rep = np.repeat(rows, counts)
-    diff = bank.futures[flat] - true_futures.T[rep]
+    flat = np.concatenate([selected[i] for i in rows])
+    rep = np.repeat(np.arange(len(rows)), counts)
+    diff = bank.futures[flat] - true_futures.T[np.asarray(rows)[rep]]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    best, off = [], 0
-    for c in counts:
-        seg = slice(off, off + c)
-        best.append(int(min(zip(d2[seg], flat[seg].tolist()))[1]))
-        off += c
-    return best
+    # sorted by (row, distance, entry index), each row's run starts with its winner
+    order = np.lexsort((flat, d2, rep))
+    return flat[order[np.cumsum([0] + counts[:-1])]].tolist()
 
 
 def alignment_loss(queries: Var, keys: Var) -> Var:
@@ -358,11 +318,11 @@ def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> 
         raise DataError(f"bank file not found: {path}")
     if not lines:
         raise DataError(f"bank file {path} is empty")
-    header = json.loads(lines[0])
-    entries = []
-    for line in lines[1:]:
-        d = json.loads(line)
-        entries.append(
+    try:
+        header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise DataError(f"bank file {path} header is not a JSON object")
+        entries = [
             BankEntry(
                 region_id=d["region_id"],
                 anchor=d["anchor"],
@@ -371,8 +331,11 @@ def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> 
                 future=np.array(d["future"], dtype=np.float64),
                 hour=d["hour"],
             )
-        )
-    bank = MemoryBank(entries)
+            for d in map(json.loads, lines[1:])
+        ]
+        bank = MemoryBank(entries)
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"bank file {path} is malformed: {type(e).__name__}: {e}")
     if header.get("n_entries") != len(bank):
         raise DataError(f"bank file {path} header disagrees with entry count")
     if bank.entry_checksum() != header.get("entry_checksum"):

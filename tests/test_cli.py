@@ -1,11 +1,13 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from bankcast import cli
 from bankcast.cli import main, resolve_config
+from bankcast.data import SyntheticSpec, generate_synthetic_city, save_city
 from bankcast.errors import ConfigError
 
 
@@ -199,6 +201,102 @@ class TestEval:
         report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
         assert report["protocol"] == "transfer"
         assert report["extras"]["source_city"] == "source"
+
+
+def _edit_json(path: Path, fn) -> None:
+    doc = json.loads(path.read_text())
+    fn(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _edit_bank_line(path: Path, i: int, fn) -> None:
+    lines = path.read_text().splitlines()
+    lines[i] = fn(lines[i])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _drop_future(line: str) -> str:
+    d = json.loads(line)
+    del d["future"]
+    return json.dumps(d)
+
+
+def _grow_param(doc: dict) -> None:
+    p = doc["params"]["fusion.scale"]
+    p["values"].append(0.0)
+    p["shape"] = [len(p["values"])]
+
+
+def _narrower_city(path: Path) -> None:
+    spec = SyntheticSpec(n_regions=10, d_c=6, n_archetypes=3, t_total=24 * 10 + 1, seed=5)
+    save_city(generate_synthetic_city(spec, name="source"), path)
+
+
+def case(id: str, artifact: str, corrupt, code: int):
+    return pytest.param(artifact, corrupt, code, id=id)
+
+
+CORRUPTIONS = [
+    case("bank-header-not-json", "bank.jsonl", lambda p: _edit_bank_line(p, 0, lambda _: "not json"), 3),
+    case("bank-header-not-object", "bank.jsonl", lambda p: _edit_bank_line(p, 0, lambda _: "[1, 2]"), 3),
+    case("bank-entry-not-json", "bank.jsonl", lambda p: _edit_bank_line(p, 1, lambda _: "{"), 3),
+    case("bank-entry-missing-field", "bank.jsonl", lambda p: _edit_bank_line(p, 1, _drop_future), 3),
+    case("bank-entry-tampered", "bank.jsonl",
+         lambda p: _edit_bank_line(p, 1, lambda line: line.replace("0.", "5.", 1)), 5),
+    case("ckpt-missing-param", "checkpoint.json",
+         lambda p: _edit_json(p, lambda d: d["params"].pop("fusion.scale")), 3),
+    case("ckpt-missing-model-config", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("model_config")), 3),
+    case("ckpt-missing-norm", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("norm")), 3),
+    case("ckpt-unknown-config-field", "checkpoint.json",
+         lambda p: _edit_json(p, lambda d: d["model_config"].update(bogus=1)), 3),
+    case("ckpt-param-shape", "checkpoint.json", lambda p: _edit_json(p, _grow_param), 3),
+    case("ckpt-not-object", "checkpoint.json", lambda p: p.write_text("[]"), 3),
+    case("ckpt-no-holdout", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("holdout")), 5),
+    case("dataset-not-object", "source.json", lambda p: p.write_text("[]"), 3),
+    case("dataset-other-context-width", "source.json", _narrower_city, 5),
+]
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    """generate + train once; tests copy the directory before changing it."""
+    root = tmp_path_factory.mktemp("trained")
+    p = fast_config(root)
+    assert run_cli("--config", str(p), "generate") == 0
+    assert run_cli("--config", str(p), "train") == 0
+    return root
+
+
+def copy_artifacts(src: Path, dst: Path) -> Path:
+    for name in ("source.json", "checkpoint.json", "bank.jsonl"):
+        shutil.copy(src / name, dst / name)
+    return fast_config(dst)
+
+
+class TestCorruptArtifacts:
+    @pytest.mark.parametrize("name,corrupt,code", CORRUPTIONS)
+    def test_eval_exits_with_code_not_traceback(self, name, corrupt, code, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        corrupt(tmp_path / name)
+        assert run_cli("--config", str(p), "eval") == code
+        err = capsys.readouterr().err
+        assert ("data error" if code == 3 else "artifact version mismatch") in err
+
+
+class TestHoldoutGuard:
+    def test_pretrained_eval_refuses_other_seeds(self, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        assert run_cli("--config", str(p), "--set", "seeds=[1, 2]", "eval") == 5
+        assert "holds out regions" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "seed_1" / "report.json").exists()
+
+    def test_pretrained_eval_uses_stored_holdout(self, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        assert run_cli("--config", str(p), "eval") == 0
+        stored = json.loads((tmp_path / "checkpoint.json").read_text())["holdout"]
+        report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
+        assert stored == cli.choose_holdout(10, 3, 1)
+        assert sorted(report["holdout"]) == stored
 
 
 class TestAblate:

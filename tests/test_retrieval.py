@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bankcast import autodiff as ad
-from bankcast import retrieval
+from bankcast import numerics, retrieval
 from bankcast.data import SyntheticSpec, generate_synthetic_city, make_windows
 from bankcast.errors import DataError, VersionMismatchError
 from bankcast.model import Model, ModelConfig
@@ -13,8 +13,9 @@ from bankcast.retrieval import (
     MemoryBank,
     build_bank,
     encode_retrieval,
-    future_nearest,
+    future_nearest_batch,
     retrieve,
+    select_top_batch,
     save_bank,
     load_bank,
 )
@@ -275,6 +276,85 @@ class TestRetrieve:
             retrieve(unit_keys(1, 8)[0], bank, 0, k=0, temperature=0.1)
         with pytest.raises(ValueError):
             retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.0)
+        bank.keys = None
+        with pytest.raises(DataError):
+            retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.1)
+
+
+E0, E1 = np.eye(8)[:2]
+KEY_A, KEY_B, KEY_C = E0, (E0 + E1) / np.sqrt(2.0), E1
+
+
+def excl(bank, i):
+    return None if i is None else (bank.entries[i].anchor, bank.entries[i].region_id)
+
+
+class TestSelectTopBatch:
+    """The selection Model.forward runs, checked row by row against the linear scan."""
+
+    def bank(self):
+        # hour 3: one key A (entry 4), five equal keys B (0, 3, 6, 8, 11) and
+        # three keys C (2, 7, 10); hour 5: four random keys (1, 5, 9, 12);
+        # hour 7: no entries
+        layout = [(3, KEY_B), (5, None), (3, KEY_C), (3, KEY_B), (3, KEY_A), (5, None),
+                  (3, KEY_B), (3, KEY_C), (3, KEY_B), (5, None), (3, KEY_C), (3, KEY_B),
+                  (5, None)]
+        rand = unit_keys(len(layout), 8, seed=3)
+        keys = np.array([rand[i] if key is None else key for i, (_, key) in enumerate(layout)])
+        entries = make_entries(len(layout), hours=[h for h, _ in layout], seed=3)
+        return bank_with_keys(entries, keys)
+
+    def queries(self):
+        return np.vstack([KEY_A, KEY_B, unit_keys(2, 8, seed=5)])
+
+    @pytest.mark.parametrize(
+        "hour,k,excluded",
+        [
+            (3, 3, [None, 3, 0, 4]),  # five B keys tie at the 3rd score
+            (3, 1, [4, None, 2, None]),
+            (3, 30, [None, 11, None, 7]),
+            (5, 4, [5, None, 1, None]),  # k = bucket size, one excluded
+            (5, 8, [None, 12, 9, 1]),
+            (7, 2, [None, 0, None, None]),  # empty bucket
+        ],
+    )
+    def test_rows_match_linear_scan(self, hour, k, excluded):
+        bank, queries = self.bank(), self.queries()
+        excludes = [excl(bank, i) for i in excluded]
+        out = select_top_batch(bank, queries, hour, k, excludes)
+        assert len(out) == queries.shape[0]
+        for q, ex, (idx, scores) in zip(queries, excludes, out):
+            expect, w, _ = brute_force_retrieve(bank, q, hour, k, 0.3, exclude=ex)
+            assert idx.tolist() == expect
+            assert np.allclose(scores, bank.keys[idx] @ q, atol=1e-12)
+            if idx.size:
+                assert np.allclose(numerics.row_softmax(scores[None], 0.3)[0], w, atol=1e-12)
+
+    def test_ties_beyond_free_slots_go_to_smaller_index(self):
+        bank = self.bank()
+        out = select_top_batch(bank, np.vstack([KEY_A, KEY_A]), 3, 3, [None, excl(bank, 0)])
+        # A first, then two of the five tied B entries
+        assert [idx.tolist() for idx, _ in out] == [[4, 0, 3], [4, 3, 6]]
+        assert out[0][1][1] == out[0][1][2]
+
+    def test_random_rows_match_linear_scan(self):
+        rng = np.random.default_rng(47)
+        entries = make_entries(300, seed=47)
+        keys = unit_keys(300, 8, seed=47)
+        keys[rng.integers(0, 300, size=60)] = keys[rng.integers(0, 300, size=60)]
+        bank = bank_with_keys(entries, keys)
+        for trial in range(30):
+            hour, k = int(rng.integers(0, 24)), [1, 8, 30][trial % 3]
+            bucket = bank.hour_index[hour]
+            # odd rows exclude an entry of their own bucket; row 0 queries a stored key
+            queries = unit_keys(6, 8, seed=200 + trial)
+            excludes = [None] * 6
+            if bucket.size:
+                queries[0] = keys[bucket[0]]
+                excludes[1::2] = [excl(bank, int(i)) for i in rng.choice(bucket, size=3)]
+            out = select_top_batch(bank, queries, hour, k, excludes)
+            for q, ex, (idx, _) in zip(queries, excludes, out):
+                assert idx.tolist() == brute_force_retrieve(bank, q, hour, k, 0.3, exclude=ex)[0]
 
 
 class TestFutureNearest:
@@ -284,7 +364,7 @@ class TestFutureNearest:
         bank = bank_with_keys(entries, unit_keys(20, 8, seed=37))
         cand = np.array([3, 7, 1, 15, 9])
         target = rng.uniform(0, 5, size=3)
-        best = future_nearest(bank, cand, target)
+        best = future_nearest_batch(bank, [cand], [0], target[:, None])[0]
         dists = {i: np.linalg.norm(bank.futures[i] - target) for i in cand}
         expect = min(sorted(dists), key=lambda i: (dists[i], i))
         assert best == expect
@@ -293,8 +373,15 @@ class TestFutureNearest:
         entries = make_entries(4, hours=[0] * 4)
         bank = bank_with_keys(entries, unit_keys(4, 8))
         bank.futures[1] = bank.futures[3] = np.array([1.0, 2.0, 3.0])
-        best = future_nearest(bank, np.array([3, 1]), np.array([1.0, 2.0, 3.0]))
-        assert best == 1
+        best = future_nearest_batch(bank, [np.array([3, 1])], [0], np.array([[1.0], [2.0], [3.0]]))
+        assert best == [1]
+
+    def test_rows_pick_their_own_targets(self):
+        entries = make_entries(6, hours=[0] * 6, seed=39)
+        bank = bank_with_keys(entries, unit_keys(6, 8, seed=39))
+        selected = [np.array([0, 1, 2]), np.empty(0, dtype=np.intp), np.array([5, 3, 4])]
+        targets = np.stack([bank.futures[2], np.zeros(3), bank.futures[3]], axis=1)
+        assert future_nearest_batch(bank, selected, [0, 2], targets) == [2, 3]
 
 
 class TestAlignmentLoss:
