@@ -59,7 +59,7 @@ DEFAULT_CONFIG: dict = {
         "dataset": "runs/source.json",
         "dataset_target": "runs/target.json",
         "checkpoint": "runs/checkpoint.json",
-        "bank": "runs/bank.jsonl",
+        "bank": "runs/bank.bin",
         "report_dir": "runs",
     },
     "synthetic": {

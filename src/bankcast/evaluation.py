@@ -337,8 +337,8 @@ def _assert_bank_from_train_split(
     windows = make_windows(city, window, horizon)
     train_inst, _, _ = split_windows(windows, ratios)
     max_train_anchor = max(i.t for i in train_inst)
-    bad = [e.anchor for e in bank.entries if e.anchor > max_train_anchor]
-    if bad:
+    bad = bank.anchors[bank.anchors > max_train_anchor]
+    if bad.size:
         raise DataError(f"bank contains non-train anchors (first: {bad[0]})")
 
 

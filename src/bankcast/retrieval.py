@@ -1,9 +1,10 @@
 """Time-aware memory bank and retrieval.
 
-Bank entries are (context, true history, future, hour) windows from a source
-train split. Queries and keys share one encoder that fuses a context branch
-with a temporal branch (history concatenated with an hour embedding) and
-normalizes the output to the unit sphere.
+Bank entries are (region, anchor, hour, context, true history, future)
+windows from a source train split, held as one NumPy record array. Queries
+and keys share one encoder that fuses a context branch with a temporal branch
+(history concatenated with an hour embedding) and normalizes the output to
+the unit sphere.
 
 One routine, `select_top_batch`, does all top-K selection: it filters
 candidates to the query hour, scores every query row against the bank's
@@ -16,8 +17,8 @@ selected entries so gradients can reach the key-side encoder.
 
 from __future__ import annotations
 
-import json
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,16 +30,6 @@ from .autodiff import ParamStore, Var
 from .backbone import glorot
 from .data import ForecastInstance
 from .errors import DataError, VersionMismatchError
-
-
-@dataclass
-class BankEntry:
-    region_id: int
-    anchor: int
-    context: np.ndarray  # (d_c,)
-    history: np.ndarray  # (W,) true, unmasked, raw scale
-    future: np.ndarray  # (H,) raw scale
-    hour: int
 
 
 @dataclass
@@ -94,19 +85,33 @@ def encode_retrieval(contexts: Var, histories: Var, hours, params: RetrieverPara
 # the bank
 
 
-class MemoryBank:
-    """Ordered entries plus cached unit-norm key embeddings, partitioned by hour."""
+def entry_dtype(d_c: int, window: int, horizon: int) -> np.dtype:
+    """A bank entry: int64 ids and hour, then raw-scale float64 context, true
+    (unmasked) history and future."""
+    i8, f8 = np.int64, np.float64
+    return np.dtype([("region_id", i8), ("anchor", i8), ("hour", i8), ("context", f8, (d_c,)),
+                     ("history", f8, (window,)), ("future", f8, (horizon,))])
 
-    def __init__(self, entries: list[BankEntry]):
-        if not entries:
+
+def bank_entries(region_ids, anchors, hours, contexts, histories, futures) -> np.recarray:
+    """The bank's record array from its six columns, one row per entry."""
+    cols = [np.asarray(c) for c in (region_ids, anchors, hours, contexts, histories, futures)]
+    return np.rec.fromarrays(cols, dtype=entry_dtype(*(c.shape[1] for c in cols[3:])))
+
+
+class MemoryBank:
+    """One record array of entries plus cached unit-norm keys, partitioned by hour."""
+
+    def __init__(self, entries: np.ndarray):
+        if len(entries) == 0:
             raise DataError("memory bank must contain at least one entry")
-        self.entries = entries
-        self.contexts = np.stack([e.context for e in entries])
-        self.histories = np.stack([e.history for e in entries])
-        self.futures = np.stack([e.future for e in entries])
-        self.hours = np.array([e.hour for e in entries], dtype=np.intp)
-        self.anchors = np.array([e.anchor for e in entries], dtype=np.int64)
-        self.region_ids = np.array([e.region_id for e in entries], dtype=np.int64)
+        self.entries = entries.view(np.recarray)
+        self.contexts = np.ascontiguousarray(self.entries["context"])
+        self.histories = np.ascontiguousarray(self.entries["history"])
+        self.futures = np.ascontiguousarray(self.entries["future"])
+        self.hours = np.ascontiguousarray(self.entries["hour"])
+        self.anchors = np.ascontiguousarray(self.entries["anchor"])
+        self.region_ids = np.ascontiguousarray(self.entries["region_id"])
         self.hour_index: dict[int, np.ndarray] = {
             h: np.flatnonzero(self.hours == h) for h in range(24)
         }
@@ -137,15 +142,7 @@ class MemoryBank:
         self.encoder_version = encoder_version
 
     def entry_checksum(self) -> str:
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(np.int64(e.region_id).tobytes())
-            h.update(np.int64(e.anchor).tobytes())
-            h.update(np.int64(e.hour).tobytes())
-            h.update(e.context.tobytes())
-            h.update(e.history.tobytes())
-            h.update(e.future.tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.entries.tobytes()).hexdigest()
 
 
 def build_bank(
@@ -161,20 +158,19 @@ def build_bank(
     `region_ids` restricts entries to regions observable in the source split.
     """
     ids = sorted(region_ids)
-    entries = []
-    for inst in sorted(instances, key=lambda fi: fi.t):
-        for rid in ids:
-            entries.append(
-                BankEntry(
-                    region_id=rid,
-                    anchor=inst.t,
-                    context=contexts[rid].copy(),
-                    history=inst.history[:, rid].copy(),
-                    future=inst.future[:, rid].copy(),
-                    hour=inst.hour,
-                )
-            )
-    bank = MemoryBank(entries)
+    insts = sorted(instances, key=lambda fi: fi.t)
+    if not ids or not insts:
+        raise DataError("memory bank must contain at least one entry")
+    bank = MemoryBank(
+        bank_entries(
+            region_ids=np.tile(ids, len(insts)),
+            anchors=np.repeat([fi.t for fi in insts], len(ids)),
+            hours=np.repeat([fi.hour for fi in insts], len(ids)),
+            contexts=np.tile(contexts[ids], (len(insts), 1)),
+            histories=np.concatenate([fi.history[:, ids].T for fi in insts]),
+            futures=np.concatenate([fi.future[:, ids].T for fi in insts]),
+        )
+    )
     if encode_fn is not None:
         bank.refresh_keys(encode_fn, encoder_version)
     return bank
@@ -280,64 +276,48 @@ def alignment_loss(queries: Var, keys: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# persistence (keys are never stored; they are recomputed from the checkpoint)
+# persistence: one JSON header line, then the entry record array as one .npy
+# body. Keys are never stored; they are recomputed from the checkpoint.
+
+BANK_FORMAT = "bankcast-bank-v2"
 
 
 def save_bank(bank: MemoryBank, path: str | Path, config_hash: str | None = None) -> None:
     header = {
-        "format": "bankcast-bank-v1",
+        "format": BANK_FORMAT,
         "encoder_version": bank.encoder_version,
         "entry_checksum": bank.entry_checksum(),
         "n_entries": len(bank),
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
-    with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for e in bank.entries:
-            f.write(
-                json.dumps(
-                    {
-                        "region_id": e.region_id,
-                        "anchor": e.anchor,
-                        "hour": e.hour,
-                        "context": e.context.tolist(),
-                        "history": e.history.tolist(),
-                        "future": e.future.tolist(),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    with open(path, "wb") as f:
+        f.write((json.dumps(header, sort_keys=True) + "\n").encode())
+        np.save(f, bank.entries, allow_pickle=False)
 
 
 def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> tuple[MemoryBank, dict]:
     try:
-        lines = Path(path).read_text().splitlines()
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
+            if not isinstance(header, dict):
+                raise DataError(f"bank file {path} header is not a JSON object")
+            if header.get("format") != BANK_FORMAT:
+                raise DataError(f"unrecognized bank format {header.get('format')!r} in {path}")
+            entries = np.lib.format.read_array(f, allow_pickle=False)
     except FileNotFoundError:
         raise DataError(f"bank file not found: {path}")
-    if not lines:
-        raise DataError(f"bank file {path} is empty")
-    try:
-        header = json.loads(lines[0])
-        if not isinstance(header, dict):
-            raise DataError(f"bank file {path} header is not a JSON object")
-        entries = [
-            BankEntry(
-                region_id=d["region_id"],
-                anchor=d["anchor"],
-                context=np.array(d["context"], dtype=np.float64),
-                history=np.array(d["history"], dtype=np.float64),
-                future=np.array(d["future"], dtype=np.float64),
-                hour=d["hour"],
-            )
-            for d in map(json.loads, lines[1:])
-        ]
-        bank = MemoryBank(entries)
-    except (KeyError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise DataError(f"bank file {path} is malformed: {type(e).__name__}: {e}")
-    if header.get("n_entries") != len(bank):
+    try:
+        want = entry_dtype(*(entries.dtype[f].shape[0] for f in ("context", "history", "future")))
+    except (KeyError, IndexError):
+        want = None
+    if want is None or entries.dtype != want or entries.ndim != 1:
+        raise DataError(f"bank file {path} holds {entries.dtype} records, not bank entries")
+    if header.get("n_entries") != len(entries):
         raise DataError(f"bank file {path} header disagrees with entry count")
+    bank = MemoryBank(entries)
     if bank.entry_checksum() != header.get("entry_checksum"):
         raise VersionMismatchError(f"bank file {path} content does not match its checksum")
     if (

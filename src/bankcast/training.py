@@ -29,6 +29,8 @@ LOG_COLUMNS = (
     "train_ret_loss",
     "val_mae",
     "val_rmse",
+    "grad_norm",
+    "fusion_scale",
     "seconds",
 )
 
@@ -276,7 +278,7 @@ def train(
         if bank is not None:
             model.refresh_bank(bank)
         order = rng.permutation(len(train_instances))
-        loss_sum = pred_sum = ret_sum = 0.0
+        loss_sum = pred_sum = ret_sum = norm_sum = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch_idx = order[start : start + config.batch_size]
@@ -300,7 +302,7 @@ def train(
                 )
             model.store.zero_grad()
             ad.backward(batch_loss)
-            clip_gradients(model.store, config.clip_norm)
+            norm_sum += clip_gradients(model.store, config.clip_norm)
             optimizer.step()
             loss_sum += float(batch_loss.value)
             pred_sum += float(np.mean(preds))
@@ -320,6 +322,8 @@ def train(
                 "train_ret_loss": ret_sum / n_batches,
                 "val_mae": val_mae,
                 "val_rmse": val_rmse,
+                "grad_norm": norm_sum / n_batches,
+                "fusion_scale": model.fusion.scale.value.item(),
                 "seconds": time.perf_counter() - t0,
             }
         )

@@ -23,7 +23,7 @@ from bankcast.data import (
 from bankcast.evaluation import predict_city, run_coldstart, run_transfer
 from bankcast.gradcheck import grad_check
 from bankcast.model import Model, ModelConfig
-from bankcast.retrieval import BankEntry, MemoryBank, build_bank, retrieve
+from bankcast.retrieval import MemoryBank, bank_entries, build_bank, retrieve
 from bankcast.training import TrainConfig, instance_loss
 
 SEEDS = (1, 2, 3)
@@ -103,18 +103,19 @@ def test_criterion_2_zero_init_identity():
     worst = 0.0
     for trial in range(100):
         model = Model(cfg, seed=trial)
-        entries = [
-            BankEntry(
-                region_id=0,
-                anchor=100 + j,
-                context=rng.normal(size=cfg.d_c),
-                history=rng.uniform(0, 10, size=cfg.window),
-                future=rng.uniform(0, 10, size=cfg.horizon),
-                hour=int(rng.integers(0, 24)),
+        rows = [
+            (
+                rng.normal(size=cfg.d_c),
+                rng.uniform(0, 10, size=cfg.window),
+                rng.uniform(0, 10, size=cfg.horizon),
+                int(rng.integers(0, 24)),
             )
-            for j in range(30)
+            for _ in range(30)
         ]
-        bank = MemoryBank(entries)
+        contexts, histories, futures, hours = map(np.array, zip(*rows))
+        bank = MemoryBank(
+            bank_entries(np.zeros(30), 100 + np.arange(30), hours, contexts, histories, futures)
+        )
         model.refresh_bank(bank)
         n = int(rng.integers(2, 7))
         res = model.forward(
@@ -163,18 +164,14 @@ def brute_force(bank, query, hour, k, temperature, exclude):
 def test_criterion_3_retrieval_oracle_equivalence():
     rng = np.random.default_rng(42)
     n_entries, d_r, horizon, k = 5000, 16, 6, 8
-    entries = [
-        BankEntry(
-            region_id=int(i % 25),
-            anchor=int(i // 25),
-            context=np.zeros(2),
-            history=np.zeros(3),
-            future=rng.uniform(0, 5, size=horizon),
-            hour=int(rng.integers(0, 24)),
+    rows = [(rng.uniform(0, 5, size=horizon), int(rng.integers(0, 24))) for _ in range(n_entries)]
+    futures, hours = map(np.array, zip(*rows))
+    i = np.arange(n_entries)
+    bank = MemoryBank(
+        bank_entries(
+            i % 25, i // 25, hours, np.zeros((n_entries, 2)), np.zeros((n_entries, 3)), futures
         )
-        for i in range(n_entries)
-    ]
-    bank = MemoryBank(entries)
+    )
     keys = rng.normal(size=(n_entries, d_r))
     keys /= np.linalg.norm(keys, axis=1, keepdims=True)
     # force exact score ties: clusters of identical keys
@@ -339,7 +336,7 @@ def test_criterion_8_reproducibility(tmp_path):
             "dataset": str(base / "source.json"),
             "dataset_target": str(base / "target.json"),
             "checkpoint": str(base / "checkpoint.json"),
-            "bank": str(base / "bank.jsonl"),
+            "bank": str(base / "bank.bin"),
             "report_dir": str(base / "runs"),
         },
         "synthetic": {

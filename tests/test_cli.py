@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy.lib.recfunctions import repack_fields
 
 from bankcast import cli
 from bankcast.cli import main, resolve_config
@@ -21,7 +24,7 @@ def fast_config(tmp_path: Path, protocol: str = "coldstart") -> Path:
             "dataset": str(tmp_path / "source.json"),
             "dataset_target": str(tmp_path / "target.json"),
             "checkpoint": str(tmp_path / "checkpoint.json"),
-            "bank": str(tmp_path / "bank.jsonl"),
+            "bank": str(tmp_path / "bank.bin"),
             "report_dir": str(tmp_path / "runs"),
         },
         "synthetic": {
@@ -166,10 +169,13 @@ class TestTrain:
         run_cli("--config", str(p), "generate")
         assert run_cli("--config", str(p), "train") == 0
         assert (tmp_path / "checkpoint.json").exists()
-        assert (tmp_path / "bank.jsonl").exists()
+        assert (tmp_path / "bank.bin").exists()
         log = (tmp_path / "runs" / "training_log.csv").read_text().splitlines()
         assert log[0].startswith("# config_hash=")
-        assert log[1] == "epoch,train_loss,train_pred_loss,train_ret_loss,val_mae,val_rmse,seconds"
+        assert log[1] == (
+            "epoch,train_loss,train_pred_loss,train_ret_loss,val_mae,val_rmse,"
+            "grad_norm,fusion_scale,seconds"
+        )
         assert len(log) == 4  # header comment + columns + 2 epochs
 
 
@@ -188,10 +194,7 @@ class TestEval:
         run_cli("--config", str(p), "generate")
         run_cli("--config", str(p), "train")
         assert run_cli("--config", str(p), "eval") == 0
-        bank_path = tmp_path / "bank.jsonl"
-        lines = bank_path.read_text().splitlines()
-        lines[1] = lines[1].replace("0.", "5.", 1)
-        bank_path.write_text("\n".join(lines))
+        _edit_bank(tmp_path / "bank.bin", body=_flip_float_byte)
         assert run_cli("--config", str(p), "eval") == 5
 
     def test_transfer_eval(self, tmp_path, capsys):
@@ -209,16 +212,31 @@ def _edit_json(path: Path, fn) -> None:
     path.write_text(json.dumps(doc))
 
 
-def _edit_bank_line(path: Path, i: int, fn) -> None:
-    lines = path.read_text().splitlines()
-    lines[i] = fn(lines[i])
-    path.write_text("\n".join(lines) + "\n")
+def _edit_bank(path: Path, header=lambda h: h, body=lambda b: b) -> None:
+    """Rewrite a bank file's JSON header line and .npy body, as bytes."""
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header(head) + b"\n" + body(rest))
 
 
-def _drop_future(line: str) -> str:
-    d = json.loads(line)
-    del d["future"]
-    return json.dumps(d)
+def _v1_header(head: bytes) -> bytes:
+    return json.dumps({**json.loads(head), "format": "bankcast-bank-v1"}).encode()
+
+
+def _one_more_entry(head: bytes) -> bytes:
+    header = json.loads(head)
+    return json.dumps({**header, "n_entries": header["n_entries"] + 1}).encode()
+
+
+def _drop_future(body: bytes) -> bytes:
+    entries = np.load(io.BytesIO(body))
+    out = io.BytesIO()
+    np.save(out, repack_fields(entries[["region_id", "anchor", "hour", "context", "history"]]))
+    return out.getvalue()
+
+
+def _flip_float_byte(body: bytes) -> bytes:
+    # body[-8] is the lowest mantissa byte of the last entry's last future value
+    return body[:-8] + bytes([body[-8] ^ 1]) + body[-7:]
 
 
 def _grow_param(doc: dict) -> None:
@@ -237,12 +255,15 @@ def case(id: str, artifact: str, corrupt, code: int):
 
 
 CORRUPTIONS = [
-    case("bank-header-not-json", "bank.jsonl", lambda p: _edit_bank_line(p, 0, lambda _: "not json"), 3),
-    case("bank-header-not-object", "bank.jsonl", lambda p: _edit_bank_line(p, 0, lambda _: "[1, 2]"), 3),
-    case("bank-entry-not-json", "bank.jsonl", lambda p: _edit_bank_line(p, 1, lambda _: "{"), 3),
-    case("bank-entry-missing-field", "bank.jsonl", lambda p: _edit_bank_line(p, 1, _drop_future), 3),
-    case("bank-entry-tampered", "bank.jsonl",
-         lambda p: _edit_bank_line(p, 1, lambda line: line.replace("0.", "5.", 1)), 5),
+    case("bank-header-not-json", "bank.bin", lambda p: _edit_bank(p, header=lambda _: b"not json"), 3),
+    case("bank-header-not-object", "bank.bin", lambda p: _edit_bank(p, header=lambda _: b"[1, 2]"), 3),
+    case("bank-header-v1", "bank.bin", lambda p: _edit_bank(p, header=_v1_header), 3),
+    case("bank-header-count", "bank.bin", lambda p: _edit_bank(p, header=_one_more_entry), 3),
+    case("bank-body-not-npy", "bank.bin", lambda p: _edit_bank(p, body=lambda _: b'{"region_id": 0}\n'), 3),
+    case("bank-body-missing", "bank.bin", lambda p: _edit_bank(p, body=lambda _: b""), 3),
+    case("bank-body-truncated", "bank.bin", lambda p: _edit_bank(p, body=lambda b: b[:-100]), 3),
+    case("bank-no-future-field", "bank.bin", lambda p: _edit_bank(p, body=_drop_future), 3),
+    case("bank-float-flipped", "bank.bin", lambda p: _edit_bank(p, body=_flip_float_byte), 5),
     case("ckpt-missing-param", "checkpoint.json",
          lambda p: _edit_json(p, lambda d: d["params"].pop("fusion.scale")), 3),
     case("ckpt-missing-model-config", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("model_config")), 3),
@@ -268,7 +289,7 @@ def trained_artifacts(tmp_path_factory):
 
 
 def copy_artifacts(src: Path, dst: Path) -> Path:
-    for name in ("source.json", "checkpoint.json", "bank.jsonl"):
+    for name in ("source.json", "checkpoint.json", "bank.bin"):
         shutil.copy(src / name, dst / name)
     return fast_config(dst)
 

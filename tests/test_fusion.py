@@ -3,7 +3,7 @@ import numpy as np
 from bankcast import autodiff as ad
 from bankcast.fusion import FusionParams, fuse
 from bankcast.model import Model, ModelConfig
-from bankcast.retrieval import BankEntry, MemoryBank
+from bankcast.retrieval import MemoryBank, bank_entries
 
 
 def fusion_params(horizon=4, seed=None):
@@ -99,18 +99,17 @@ def test_zero_init_full_model_identity():
     )
     model = Model(cfg, seed=11)
     rng = np.random.default_rng(12)
-    entries = [
-        BankEntry(
-            region_id=0,
-            anchor=50 + j,
-            context=rng.normal(size=cfg.d_c),
-            history=rng.uniform(0, 3, size=cfg.window),
-            future=rng.uniform(0, 3, size=cfg.horizon),
-            hour=j % 24,
+    rows = [
+        (
+            rng.normal(size=cfg.d_c),
+            rng.uniform(0, 3, size=cfg.window),
+            rng.uniform(0, 3, size=cfg.horizon),
         )
-        for j in range(48)
+        for _ in range(48)
     ]
-    bank = MemoryBank(entries)
+    contexts, histories, futures = map(np.array, zip(*rows))
+    j = np.arange(48)
+    bank = MemoryBank(bank_entries(np.zeros(48), 50 + j, j % 24, contexts, histories, futures))
     model.refresh_bank(bank)
     for trial in range(20):
         n = 4

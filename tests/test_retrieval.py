@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,8 +11,8 @@ from bankcast.data import SyntheticSpec, generate_synthetic_city, make_windows
 from bankcast.errors import DataError, VersionMismatchError
 from bankcast.model import Model, ModelConfig
 from bankcast.retrieval import (
-    BankEntry,
     MemoryBank,
+    bank_entries,
     build_bank,
     encode_retrieval,
     future_nearest_batch,
@@ -33,17 +35,12 @@ def tiny_config(**kw) -> ModelConfig:
 def make_entries(n, horizon=3, window=5, d_c=4, hours=None, seed=0):
     rng = np.random.default_rng(seed)
     hours = hours if hours is not None else (rng.integers(0, 24, size=n)).tolist()
-    return [
-        BankEntry(
-            region_id=int(i % 4),
-            anchor=int(10 + i),
-            context=rng.normal(size=d_c),
-            history=rng.uniform(0, 5, size=window),
-            future=rng.uniform(0, 5, size=horizon),
-            hour=int(hours[i]),
-        )
-        for i in range(n)
+    rows = [
+        (rng.normal(size=d_c), rng.uniform(0, 5, size=window), rng.uniform(0, 5, size=horizon))
+        for _ in range(n)
     ]
+    contexts, histories, futures = map(np.array, zip(*rows))
+    return bank_entries(np.arange(n) % 4, 10 + np.arange(n), hours, contexts, histories, futures)
 
 
 def unit_keys(n, d, seed=0):
@@ -109,6 +106,18 @@ class TestBuildBank:
         bank = build_bank(windows[:3], [3, 1], city.contexts())
         keys = [(e.anchor, e.region_id) for e in bank.entries]
         assert keys == sorted(keys)
+
+    def test_every_entry_matches_its_window(self):
+        city, windows = self.city_windows()
+        bank = build_bank(windows[4:1:-1], [3, 0, 4], city.contexts())
+        by_anchor = {w.t: w for w in windows}
+        assert len(bank) == 9 and len({(e.anchor, e.region_id) for e in bank.entries}) == 9
+        for e in bank.entries:
+            w = by_anchor[e.anchor]
+            assert e.hour == w.hour
+            assert np.array_equal(e.context, city.contexts()[e.region_id])
+            assert np.array_equal(e.history, w.history[:, e.region_id])
+            assert np.array_equal(e.future, w.future[:, e.region_id])
 
     def test_rebuild_reproduces_keys_bitwise(self):
         city, windows = self.city_windows()
@@ -416,7 +425,7 @@ class TestBankPersistence:
         bank = build_bank(
             windows[:10], [0, 1, 2], city.contexts(), model.encode_entries, model.encoder_version()
         )
-        path = tmp_path / "bank.jsonl"
+        path = tmp_path / "bank.bin"
         save_bank(bank, path, config_hash="h")
         return bank, path, model
 
@@ -430,11 +439,41 @@ class TestBankPersistence:
 
     def test_tampered_entry_detected(self, tmp_path):
         bank, path, model = self.build(tmp_path)
-        lines = path.read_text().splitlines()
-        tampered = lines[1].replace("0.", "1.", 1)
-        path.write_text("\n".join([lines[0], tampered] + lines[2:]))
+        raw = bytearray(path.read_bytes())
+        raw[-8] ^= 1  # lowest mantissa byte of the last entry's last future value
+        path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatchError):
             load_bank(path)
+
+    def test_v1_json_lines_bank_rejected(self, tmp_path):
+        bank, path, model = self.build(tmp_path)
+        header = {"format": "bankcast-bank-v1", "entry_checksum": bank.entry_checksum(),
+                  "encoder_version": bank.encoder_version, "n_entries": 1}
+        entry = {"region_id": 0, "anchor": 0, "hour": 0, "context": [0.0] * 6,
+                 "history": [0.0] * 24, "future": [0.0] * 24}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(entry) + "\n")
+        with pytest.raises(DataError, match="unrecognized bank format"):
+            load_bank(path)
+
+    def test_save_is_byte_stable(self, tmp_path):
+        bank, path, model = self.build(tmp_path)
+        again = tmp_path / "again.bin"
+        save_bank(bank, again, config_hash="h")
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_checksum_matches_per_entry_hash(self, tmp_path):
+        bank, path, model = self.build(tmp_path)
+        h = hashlib.sha256()
+        for e in bank.entries:
+            h.update(np.int64(e.region_id).tobytes())
+            h.update(np.int64(e.anchor).tobytes())
+            h.update(np.int64(e.hour).tobytes())
+            h.update(e.context.tobytes())
+            h.update(e.history.tobytes())
+            h.update(e.future.tobytes())
+        assert bank.entry_checksum() == h.hexdigest()
+        loaded, header = load_bank(path)
+        assert header["entry_checksum"] == loaded.entry_checksum() == h.hexdigest()
 
     def test_version_mismatch_detected(self, tmp_path):
         bank, path, model = self.build(tmp_path)

@@ -171,6 +171,16 @@ class TestTrainLoop:
         assert len(losses) == 5
         assert all(losses[i + 1] < losses[i] for i in range(4)), losses
 
+    def test_log_grad_norm_and_fusion_scale(self):
+        city = toy_city()
+        tr, va, _ = split_windows(make_windows(city))
+        for retrieval_enabled in (False, True):
+            model = toy_model(retrieval_enabled=retrieval_enabled)
+            result = train(model, city, list(range(city.n_regions)), tr, va, toy_train_config(epochs=1))
+            [row] = result.log_rows
+            assert np.isfinite(row["grad_norm"]) and row["grad_norm"] > 0
+            assert (row["fusion_scale"] != 0.0) == retrieval_enabled
+
     def test_bank_entries_come_from_train_split_only(self):
         city = toy_city()
         windows = make_windows(city)
