@@ -359,6 +359,9 @@ class ParamStore:
         return {k: v.value.copy() for k, v in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        unknown = sorted(set(state) - set(self._params))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown}")
         for k, v in self._params.items():
             arr = np.asarray(state[k], dtype=np.float64)
             if arr.shape != v.value.shape:

@@ -251,14 +251,17 @@ def cmd_train(config: dict, dry_run: bool = False) -> int:
         horizon=config["horizon"],
     )
     save_checkpoint(run.model, paths["checkpoint"], config_hash=h)
+    written = [paths["checkpoint"]]
     if run.bank is not None:
         save_bank(run.bank, paths["bank"], config_hash=h)
+        written.append(paths["bank"])
     write_log_csv(run.train_result.log_rows, report_dir / "training_log.csv", config_hash=h)
+    written.append(str(report_dir / "training_log.csv"))
     print(
         f"trained seed {tc.seed}: best epoch {run.train_result.best_epoch}, "
         f"val MAE {run.train_result.best_val_mae:.6f}"
     )
-    print(f"wrote {paths['checkpoint']}, {paths['bank']}, {report_dir / 'training_log.csv'}")
+    print(f"wrote {', '.join(written)}")
     return 0
 
 
@@ -269,12 +272,17 @@ def _report_to_json(report: EvalReport, h: str) -> str:
 
 
 def _load_pretrained(config: dict):
-    """Load checkpoint + bank when both paths exist; validate encoder version."""
+    """Load the checkpoint and, when its model retrieves, the bank; None when a
+    file it needs is missing. The bank must match the checkpoint's encoder."""
     paths = config["paths"]
     ckpt_path, bank_path = Path(paths["checkpoint"]), Path(paths["bank"])
-    if not (ckpt_path.exists() and bank_path.exists()):
+    if not ckpt_path.exists():
         return None
     model = load_checkpoint(ckpt_path)
+    if not model.config.retrieval_enabled:
+        return model, None
+    if not bank_path.exists():
+        return None
     bank, _ = load_bank(bank_path, expected_encoder_version=model.encoder_version())
     model.refresh_bank(bank)
     return model, bank

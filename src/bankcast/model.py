@@ -266,10 +266,6 @@ class Model:
         prior = prior_parts[0] if n == 1 else ad.concat(prior_parts, axis=0)
         return prior, valid, rows
 
-    def predict_raw(self, result: ForwardResult) -> np.ndarray:
-        """(n, H) fused prediction in raw demand units."""
-        return self.denormalize(result.y_hat.value)
-
 
 # ---------------------------------------------------------------------------
 # checkpoints

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DegenerateEmbedding
-
 NORM_EPS = 1e-12
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -60,11 +58,3 @@ def row_softmax(m, temperature: float = 1.0):
     out = e / e.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out
 
-
-def l2_normalize(v, eps: float = NORM_EPS):
-    """Scale v to unit L2 norm; rejects (near-)zero vectors."""
-    v = _as_f64(v)
-    n = np.linalg.norm(v)
-    if n <= eps:
-        raise DegenerateEmbedding(f"cannot normalize vector with L2 norm {n!r}")
-    return v / n

@@ -1,18 +1,20 @@
 """Time-aware memory bank and retrieval.
 
 Bank entries are (region, anchor, hour, context, true history, future)
-windows from a source train split, held as one NumPy record array. Queries
-and keys share one encoder that fuses a context branch with a temporal branch
-(history concatenated with an hour embedding) and normalizes the output to
-the unit sphere.
+windows from a source train split, held once, as one NumPy record array in
+(hour, anchor, region id) order: each hour's entries, and their rows of the
+cached key matrix, form one contiguous slice, and the bank's column arrays
+are views of the records. Queries and keys share one encoder that fuses a
+context branch with a temporal branch (history concatenated with an hour
+embedding) and normalizes the output to the unit sphere.
 
-One routine, `select_top_batch`, does all top-K selection: it filters
-candidates to the query hour, scores every query row against the bank's
-cached key matrix with one GEMM, drops excluded entries, and keeps the top K
-per row (ties to the smaller entry index). The model runs it on a whole
-region set; `retrieve` runs it on one query and turns the selection into
-softmax weights and a future prior. Only the alignment loss re-encodes its
-selected entries so gradients can reach the key-side encoder.
+One routine, `select_top_batch`, does all top-K selection: it takes the
+query hour's slice of the keys, scores every query row against it with one
+GEMM, drops excluded entries, and keeps the top K per row (ties to the
+smaller entry index). The model runs it on a whole region set; `retrieve`
+runs it on one query and turns the selection into softmax weights and a
+future prior. Only the alignment loss re-encodes its selected entries so
+gradients can reach the key-side encoder.
 """
 
 from __future__ import annotations
@@ -100,23 +102,33 @@ def bank_entries(region_ids, anchors, hours, contexts, histories, futures) -> np
 
 
 class MemoryBank:
-    """One record array of entries plus cached unit-norm keys, partitioned by hour."""
+    """One record array of entries plus cached unit-norm keys, grouped by hour.
+
+    Entries are stored hour-major, so each hour's entries and keys are one
+    contiguous slice; the column attributes are views of `entries`, not copies.
+    """
 
     def __init__(self, entries: np.ndarray):
         if len(entries) == 0:
             raise DataError("memory bank must contain at least one entry")
+        hours = entries["hour"]
+        if hours.min() < 0 or hours.max() >= 24:
+            raise DataError(f"bank entry hours must lie in [0, 24), got {hours.min()}..{hours.max()}")
+        if np.any(hours[1:] < hours[:-1]):
+            # stable, so each hour keeps its entries' given order (and tie rules)
+            entries = entries[np.argsort(hours, kind="stable")]
         self.entries = entries.view(np.recarray)
-        self.contexts = np.ascontiguousarray(self.entries["context"])
-        self.histories = np.ascontiguousarray(self.entries["history"])
-        self.futures = np.ascontiguousarray(self.entries["future"])
-        self.hours = np.ascontiguousarray(self.entries["hour"])
-        self.anchors = np.ascontiguousarray(self.entries["anchor"])
-        self.region_ids = np.ascontiguousarray(self.entries["region_id"])
+        self.contexts = self.entries["context"]
+        self.histories = self.entries["history"]
+        self.futures = self.entries["future"]
+        self.hours = self.entries["hour"]
+        self.anchors = self.entries["anchor"]
+        self.region_ids = self.entries["region_id"]
+        bounds = np.searchsorted(self.hours, np.arange(25))
         self.hour_index: dict[int, np.ndarray] = {
-            h: np.flatnonzero(self.hours == h) for h in range(24)
+            h: np.arange(bounds[h], bounds[h + 1]) for h in range(24)
         }
         self.keys: np.ndarray | None = None
-        self.hour_keys: dict[int, np.ndarray] = {}
         self.encoder_version: str | None = None
 
     def __len__(self) -> int:
@@ -128,21 +140,26 @@ class MemoryBank:
 
     def refresh_keys(self, encode_fn, encoder_version: str) -> None:
         """Recompute all key embeddings (retriever parameters drift during training)."""
-        keys = np.asarray(encode_fn(self.contexts, self.histories, self.hours))
-        if keys.shape[0] != len(self.entries):
-            raise DataError("encoder returned wrong number of keys")
-        self.install_keys(keys, encoder_version)
+        self.install_keys(encode_fn(self.contexts, self.histories, self.hours), encoder_version)
 
     def install_keys(self, keys: np.ndarray, encoder_version: str) -> None:
+        keys = np.asarray(keys)
+        if keys.ndim != 2 or keys.shape[0] != len(self.entries):
+            raise DataError(
+                f"bank needs one key row per entry ({len(self.entries)}), got shape {keys.shape}"
+            )
         norms = np.linalg.norm(keys, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise DataError("bank keys must be unit-norm")
         self.keys = keys
-        self.hour_keys = {h: keys[idx] for h, idx in self.hour_index.items() if idx.size}
         self.encoder_version = encoder_version
 
     def entry_checksum(self) -> str:
-        return hashlib.sha256(self.entries.tobytes()).hexdigest()
+        return _records_checksum(self.entries)
+
+
+def _records_checksum(entries: np.ndarray) -> str:
+    return hashlib.sha256(entries.tobytes()).hexdigest()
 
 
 def build_bank(
@@ -152,13 +169,13 @@ def build_bank(
     encode_fn=None,
     encoder_version: str = "",
 ) -> MemoryBank:
-    """One entry per (train window, observable region), ordered by (anchor, region id).
+    """One entry per (train window, observable region), ordered by (hour, anchor, region id).
 
     `contexts` is the full (N, d_c) context matrix indexed by region id;
     `region_ids` restricts entries to regions observable in the source split.
     """
     ids = sorted(region_ids)
-    insts = sorted(instances, key=lambda fi: fi.t)
+    insts = sorted(instances, key=lambda fi: (fi.hour, fi.t))
     if not ids or not insts:
         raise DataError("memory bank must contain at least one entry")
     bank = MemoryBank(
@@ -200,22 +217,26 @@ def select_top_batch(
     """Top-k entry indices and scores for each query row of one hour.
 
     `excludes[i]`, an (anchor, region id) pair or None, drops that entry from
-    row i's candidates. Ties go to the smaller entry index; a row is shorter
-    than k when its hour bucket, after exclusion, holds fewer entries.
+    row i's candidates; given, it has one item per query row. Ties go to the
+    smaller entry index; a row is shorter than k when its hour bucket, after
+    exclusion, holds fewer entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    n = queries.shape[0]
+    if excludes is not None and len(excludes) != n:
+        raise ValueError(f"excludes has {len(excludes)} items for {n} query rows")
     if bank.keys is None:
         raise DataError("bank has no keys; call refresh_keys first")
-    n = queries.shape[0]
     cand = bank.hour_index.get(hour, np.empty(0, dtype=np.intp))
     if cand.size == 0:
         return [(cand, np.empty(0))] * n
-    scores = queries @ bank.hour_keys[hour].T
+    bucket = slice(cand[0], cand[-1] + 1)
+    scores = queries @ bank.keys[bucket].T
     rows = [i for i, ex in enumerate(excludes or []) if ex is not None]
     if rows:
         ex = np.array([excludes[i] for i in rows], dtype=np.int64)
-        hit = (bank.anchors[cand] == ex[:, :1]) & (bank.region_ids[cand] == ex[:, 1:])
+        hit = (bank.anchors[bucket] == ex[:, :1]) & (bank.region_ids[bucket] == ex[:, 1:])
         scores[rows] = np.where(hit, -np.inf, scores[rows])
     # every candidate scoring at least the k-th largest score survives, so a
     # stable sort of the survivors by -score keeps the smaller-index tie rule
@@ -317,8 +338,11 @@ def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> 
         raise DataError(f"bank file {path} holds {entries.dtype} records, not bank entries")
     if header.get("n_entries") != len(entries):
         raise DataError(f"bank file {path} header disagrees with entry count")
+    # the header's checksum covers the records in file order, before
+    # MemoryBank groups them by hour
+    checksum = _records_checksum(entries)
     bank = MemoryBank(entries)
-    if bank.entry_checksum() != header.get("entry_checksum"):
+    if checksum != header.get("entry_checksum"):
         raise VersionMismatchError(f"bank file {path} content does not match its checksum")
     if (
         expected_encoder_version is not None

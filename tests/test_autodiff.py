@@ -155,6 +155,8 @@ def test_param_store_roundtrip():
     assert np.array_equal(store["w"].value, np.arange(6.0).reshape(2, 3))
     with pytest.raises(ValueError):
         store.register("w", np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="unknown parameters"):
+        store.load_state_dict({**state, "extra": np.zeros(1)})
 
 
 class TestGradCheck:

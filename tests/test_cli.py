@@ -239,6 +239,17 @@ def _flip_float_byte(body: bytes) -> bytes:
     return body[:-8] + bytes([body[-8] ^ 1]) + body[-7:]
 
 
+def _hour_out_of_range(path: Path) -> None:
+    """The first entry's hour set to 24, under a header checksum that matches."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    entries = np.load(io.BytesIO(body))
+    entries["hour"][0] = 24
+    header = {**json.loads(head), "entry_checksum": hashlib.sha256(entries.tobytes()).hexdigest()}
+    out = io.BytesIO()
+    np.save(out, entries)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + out.getvalue())
+
+
 def _grow_param(doc: dict) -> None:
     p = doc["params"]["fusion.scale"]
     p["values"].append(0.0)
@@ -264,6 +275,7 @@ CORRUPTIONS = [
     case("bank-body-truncated", "bank.bin", lambda p: _edit_bank(p, body=lambda b: b[:-100]), 3),
     case("bank-no-future-field", "bank.bin", lambda p: _edit_bank(p, body=_drop_future), 3),
     case("bank-float-flipped", "bank.bin", lambda p: _edit_bank(p, body=_flip_float_byte), 5),
+    case("bank-hour-out-of-range", "bank.bin", _hour_out_of_range, 3),
     case("ckpt-missing-param", "checkpoint.json",
          lambda p: _edit_json(p, lambda d: d["params"].pop("fusion.scale")), 3),
     case("ckpt-missing-model-config", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("model_config")), 3),
@@ -271,6 +283,8 @@ CORRUPTIONS = [
     case("ckpt-unknown-config-field", "checkpoint.json",
          lambda p: _edit_json(p, lambda d: d["model_config"].update(bogus=1)), 3),
     case("ckpt-param-shape", "checkpoint.json", lambda p: _edit_json(p, _grow_param), 3),
+    case("ckpt-extra-param", "checkpoint.json",
+         lambda p: _edit_json(p, lambda d: d["params"].update(bogus={"shape": [1], "values": [0.0]})), 3),
     case("ckpt-not-object", "checkpoint.json", lambda p: p.write_text("[]"), 3),
     case("ckpt-no-holdout", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("holdout")), 5),
     case("dataset-not-object", "source.json", lambda p: p.write_text("[]"), 3),
@@ -310,6 +324,19 @@ class TestHoldoutGuard:
         assert run_cli("--config", str(p), "--set", "seeds=[1, 2]", "eval") == 5
         assert "holds out regions" in capsys.readouterr().err
         assert not (tmp_path / "runs" / "seed_1" / "report.json").exists()
+
+    def test_graph_only_checkpoint_loads_without_bank(self, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        graph_only = ["--config", str(p), "--set", "model.retrieval_enabled=false"]
+        assert run_cli(*graph_only, "train") == 0
+        written = capsys.readouterr().out
+        assert "checkpoint.json" in written and "bank.bin" not in written
+        # bank.bin is now stale: it belongs to the retrieval checkpoint trained before
+        assert run_cli(*graph_only, "--set", "seeds=[1, 2]", "eval") == 5
+        assert "holds out regions" in capsys.readouterr().err
+        assert run_cli(*graph_only, "eval") == 0
+        report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
+        assert report["extras"]["best_epoch"] == -1  # the checkpoint was used, not retrained
 
     def test_pretrained_eval_uses_stored_holdout(self, trained_artifacts, tmp_path, capsys):
         p = copy_artifacts(trained_artifacts, tmp_path)

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from bankcast import numerics
-from bankcast.errors import DegenerateEmbedding
 
 
 def normal_cdf_quadrature(x: float) -> float:
@@ -100,16 +99,3 @@ class TestSigmoid:
         s = numerics.sigmoid(xs)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        assert np.allclose(numerics.l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-12)
-
-    def test_idempotent_on_unit_vector(self):
-        v = numerics.l2_normalize(np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(numerics.l2_normalize(v), v, atol=1e-12)
-        assert abs(np.linalg.norm(v) - 1.0) < 1e-9
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateEmbedding):
-            numerics.l2_normalize([0.0, 0.0])

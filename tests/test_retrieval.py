@@ -101,11 +101,36 @@ class TestBuildBank:
             for i in bank.hour_index[h]:
                 assert bank.entries[i].hour == h
 
-    def test_ordered_by_anchor_then_region(self):
+    def test_ordered_by_hour_then_anchor_then_region(self):
         city, windows = self.city_windows()
-        bank = build_bank(windows[:3], [3, 1], city.contexts())
-        keys = [(e.anchor, e.region_id) for e in bank.entries]
+        # anchors 23..49 cover hours 23, 0..23, 0, 1: two anchors share hours 0, 1 and 23
+        bank = build_bank(windows[26::-1], [3, 1], city.contexts())
+        keys = [(e.hour, e.anchor, e.region_id) for e in bank.entries]
         assert keys == sorted(keys)
+        assert [k[0] for k in keys[:4]] == [0, 0, 0, 0] and keys[0][1] < keys[2][1]
+
+    def test_columns_are_views_of_entries(self):
+        city, windows = self.city_windows()
+        bank = build_bank(windows[:30], [0, 2], city.contexts())
+        for col in (bank.contexts, bank.histories, bank.futures, bank.hours, bank.anchors, bank.region_ids):
+            assert np.shares_memory(col, bank.entries)
+
+    def test_hour_major_input_kept_other_input_stable_sorted(self):
+        hours = [5, 2, 5, 0, 2, 5]
+        entries = make_entries(6, hours=hours)
+        bank = MemoryBank(entries)
+        # within an hour, entries keep their given order (anchors 10 + input position)
+        assert bank.anchors.tolist() == [13, 11, 14, 10, 12, 15]
+        assert [bank.hour_index[h].tolist() for h in (0, 2, 5, 7)] == [[0], [1, 2], [3, 4, 5], []]
+        big = MemoryBank(make_entries(300, seed=1))
+        assert all(np.all(np.diff(big.anchors[big.hour_index[h]]) > 0) for h in range(24))
+        again = MemoryBank(bank.entries)
+        assert np.shares_memory(again.entries, bank.entries)
+
+    @pytest.mark.parametrize("hour", [-1, 24])
+    def test_hour_out_of_range_rejected(self, hour):
+        with pytest.raises(DataError, match="hours must lie in"):
+            MemoryBank(make_entries(3, hours=[0, hour, 1]))
 
     def test_every_entry_matches_its_window(self):
         city, windows = self.city_windows()
@@ -133,8 +158,19 @@ class TestBuildBank:
     def test_true_histories_stored(self):
         city, windows = self.city_windows()
         bank = build_bank(windows[:2], [1], city.contexts())
-        assert np.array_equal(bank.entries[0].history, windows[0].history[:, 1])
-        assert np.array_equal(bank.entries[0].future, windows[0].future[:, 1])
+        for w in windows[:2]:
+            [i] = np.flatnonzero(bank.anchors == w.t)
+            assert np.array_equal(bank.entries[i].history, w.history[:, 1])
+            assert np.array_equal(bank.entries[i].future, w.future[:, 1])
+
+    @pytest.mark.parametrize("shape", [(7, 8), (5, 8), (6,)], ids=["too-many-rows", "too-few-rows", "1-d"])
+    def test_install_keys_needs_one_row_per_entry(self, shape):
+        bank = MemoryBank(make_entries(6))
+        keys = np.zeros(shape)
+        keys[..., 0] = 1.0
+        with pytest.raises(DataError, match="one key row per entry"):
+            bank.install_keys(keys, "test")
+        assert bank.keys is None
 
 
 class TestEncodeRetrieval:
@@ -302,11 +338,11 @@ class TestSelectTopBatch:
     """The selection Model.forward runs, checked row by row against the linear scan."""
 
     def bank(self):
-        # hour 3: one key A (entry 4), five equal keys B (0, 3, 6, 8, 11) and
-        # three keys C (2, 7, 10); hour 5: four random keys (1, 5, 9, 12);
-        # hour 7: no entries
-        layout = [(3, KEY_B), (5, None), (3, KEY_C), (3, KEY_B), (3, KEY_A), (5, None),
-                  (3, KEY_B), (3, KEY_C), (3, KEY_B), (5, None), (3, KEY_C), (3, KEY_B),
+        # stored hour-major, as laid out: hour 3: one key A (entry 3), five
+        # equal keys B (0, 2, 4, 6, 8) and three keys C (1, 5, 7); hour 5: four
+        # random keys (9-12); hour 7: no entries
+        layout = [(3, KEY_B), (3, KEY_C), (3, KEY_B), (3, KEY_A), (3, KEY_B), (3, KEY_C),
+                  (3, KEY_B), (3, KEY_C), (3, KEY_B), (5, None), (5, None), (5, None),
                   (5, None)]
         rand = unit_keys(len(layout), 8, seed=3)
         keys = np.array([rand[i] if key is None else key for i, (_, key) in enumerate(layout)])
@@ -319,16 +355,18 @@ class TestSelectTopBatch:
     @pytest.mark.parametrize(
         "hour,k,excluded",
         [
-            (3, 3, [None, 3, 0, 4]),  # five B keys tie at the 3rd score
-            (3, 1, [4, None, 2, None]),
-            (3, 30, [None, 11, None, 7]),
-            (5, 4, [5, None, 1, None]),  # k = bucket size, one excluded
-            (5, 8, [None, 12, 9, 1]),
+            (3, 3, [None, 2, 0, 3]),  # five B keys tie at the 3rd score
+            (3, 1, [3, None, 1, None]),
+            (3, 30, [None, 8, None, 5]),
+            (5, 4, [10, None, 9, None]),  # k = bucket size, one excluded
+            (5, 8, [None, 12, 11, 9]),
             (7, 2, [None, 0, None, None]),  # empty bucket
         ],
     )
     def test_rows_match_linear_scan(self, hour, k, excluded):
         bank, queries = self.bank(), self.queries()
+        if hour != 7:  # each excluded entry sits in the queried bucket
+            assert all(bank.entries[i].hour == hour for i in excluded if i is not None)
         excludes = [excl(bank, i) for i in excluded]
         out = select_top_batch(bank, queries, hour, k, excludes)
         assert len(out) == queries.shape[0]
@@ -343,8 +381,13 @@ class TestSelectTopBatch:
         bank = self.bank()
         out = select_top_batch(bank, np.vstack([KEY_A, KEY_A]), 3, 3, [None, excl(bank, 0)])
         # A first, then two of the five tied B entries
-        assert [idx.tolist() for idx, _ in out] == [[4, 0, 3], [4, 3, 6]]
+        assert [idx.tolist() for idx, _ in out] == [[3, 0, 2], [3, 2, 4]]
         assert out[0][1][1] == out[0][1][2]
+
+    @pytest.mark.parametrize("n_excludes", [0, 3, 5])
+    def test_excludes_need_one_item_per_row(self, n_excludes):
+        with pytest.raises(ValueError, match="excludes has"):
+            select_top_batch(self.bank(), self.queries(), 3, 2, [None] * n_excludes)
 
     def test_random_rows_match_linear_scan(self):
         rng = np.random.default_rng(47)
@@ -474,6 +517,28 @@ class TestBankPersistence:
         assert bank.entry_checksum() == h.hexdigest()
         loaded, header = load_bank(path)
         assert header["entry_checksum"] == loaded.entry_checksum() == h.hexdigest()
+
+    def test_anchor_major_v2_file_loads(self, tmp_path):
+        # an older writer saved v2 banks in (anchor, region id) order
+        spec = SyntheticSpec(n_regions=4, d_c=6, n_archetypes=2, t_total=100, seed=21)
+        city = generate_synthetic_city(spec)
+        model, path = Model(tiny_config(d_c=6, window=24, horizon=24), seed=9), tmp_path / "bank.bin"
+        bank = build_bank(make_windows(city)[:30], [0, 1, 2], city.contexts(), model.encode_entries, "v")
+        old = np.asarray(bank.entries)[np.lexsort((bank.region_ids, bank.anchors))]
+        assert old.tobytes() != bank.entries.tobytes()
+        header = {"format": "bankcast-bank-v2", "encoder_version": "v", "n_entries": len(old),
+                  "entry_checksum": hashlib.sha256(old.tobytes()).hexdigest()}
+        with open(path, "wb") as f:
+            f.write((json.dumps(header) + "\n").encode())
+            np.save(f, old, allow_pickle=False)
+        loaded, _ = load_bank(path, expected_encoder_version="v")
+        assert loaded.entries.tobytes() == bank.entries.tobytes()
+        loaded.refresh_keys(model.encode_entries, "v")
+        queries = unit_keys(3, 8, seed=53)
+        for hour in range(24):
+            got = select_top_batch(loaded, queries, hour, 4)
+            want = select_top_batch(bank, queries, hour, 4)
+            assert [i.tolist() for i, _ in got] == [i.tolist() for i, _ in want]
 
     def test_version_mismatch_detected(self, tmp_path):
         bank, path, model = self.build(tmp_path)
