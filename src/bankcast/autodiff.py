@@ -149,6 +149,25 @@ def matmul(a: Var, b: Var) -> Var:
     return out
 
 
+def linear(x: Var, w: Var, b: Var | None = None) -> Var:
+    """x @ w.T (+ b), one node for a dense layer whose weight is stored (out, in)."""
+    x, w = _to_var(x), _to_var(w)
+    value = x.value @ w.value.T
+    if b is not None:
+        b = _to_var(b)
+        value = value + b.value
+    out = Var(value, (x, w) if b is None else (x, w, b))
+
+    def _bw(g):
+        _accum(x, g @ w.value)
+        _accum(w, (x.value.T @ g).T)
+        if b is not None:
+            _accum(b, _unbroadcast(g, b.value.shape))
+
+    out._backward = _bw
+    return out
+
+
 def transpose(a: Var) -> Var:
     a = _to_var(a)
     out = Var(a.value.T, (a,))
@@ -194,8 +213,12 @@ def take_rows(a: Var, idx) -> Var:
     out = Var(a.value[idx], (a,))
 
     def _bw(g):
+        # a stable sort groups each target row's gradient rows, in gather
+        # order, into one run; one reduceat sums every run
+        order = np.argsort(idx, kind="stable")
+        runs = np.flatnonzero(np.diff(idx[order], prepend=-1))
         full = np.zeros_like(a.value)
-        np.add.at(full, idx, g)
+        full[idx[order[runs]]] = np.add.reduceat(g[order], runs, axis=0)
         _accum(a, full)
 
     out._backward = _bw

@@ -63,7 +63,7 @@ class BackboneParams:
 
 def project_context(contexts: Var, proj: Var) -> Var:
     """(n, d_c) -> (n, d_g), pure linear map."""
-    return ad.matmul(contexts, ad.transpose(proj))
+    return ad.linear(contexts, proj)
 
 
 def build_adjacency(node_embed: Var) -> Var:
@@ -77,22 +77,31 @@ def build_adjacency(node_embed: Var) -> Var:
 
 def encode_history(history_rows: Var, proj: Var) -> Var:
     """(n, W) zero-masked normalized histories -> (n, d_z); all-zero rows stay zero."""
-    return ad.matmul(history_rows, ad.transpose(proj))
+    return ad.linear(history_rows, proj)
 
 
 def message_pass(h0: Var, adjacency: Var, layer_weights: list[Var]) -> Var:
-    """Residual graph convolutions: h <- relu(A h W) + h."""
+    """Residual graph convolutions: h <- relu(A h W) + h.
+
+    h0 holds B instances over the adjacency's n regions as n·B region-major
+    rows (row i·B + b is region i of instance b), so one (n, n) @ (n, B·d)
+    product aggregates every instance; B = 1 is a single instance.
+    """
+    n, (rows, d) = adjacency.value.shape[0], h0.value.shape
+    if rows % n:
+        raise ValueError(f"{rows} node rows do not stack instances over {n} regions")
     h = h0
     for w in layer_weights:
-        if w.value.shape[0] != w.value.shape[1] or w.value.shape[0] != h.value.shape[1]:
-            raise ValueError(f"message-passing weight must be square {h.value.shape[1]}, got {w.value.shape}")
-        h = ad.add(ad.relu(ad.matmul(ad.matmul(adjacency, h), w)), h)
+        if w.value.shape[0] != w.value.shape[1] or w.value.shape[0] != d:
+            raise ValueError(f"message-passing weight must be square {d}, got {w.value.shape}")
+        agg = ad.reshape(ad.matmul(adjacency, ad.reshape(h, (n, -1))), (rows, d))
+        h = ad.add(ad.relu(ad.matmul(agg, w)), h)
     return h
 
 
 def forecast_head(h: Var, p: BackboneParams) -> Var:
     """Node states -> (n, H): linear-in, residual ReLU blocks, linear-out."""
-    x = ad.add(ad.matmul(h, ad.transpose(p.head_in_w)), p.head_in_b)
+    x = ad.linear(h, p.head_in_w, p.head_in_b)
     for w, b in p.blocks:
-        x = ad.add(ad.relu(ad.add(ad.matmul(x, ad.transpose(w)), b)), x)
-    return ad.add(ad.matmul(x, ad.transpose(p.head_out_w)), p.head_out_b)
+        x = ad.add(ad.relu(ad.linear(x, w, b)), x)
+    return ad.linear(x, p.head_out_w, p.head_out_b)

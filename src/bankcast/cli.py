@@ -272,8 +272,9 @@ def _report_to_json(report: EvalReport, h: str) -> str:
 
 
 def _load_pretrained(config: dict):
-    """Load the checkpoint and, when its model retrieves, the bank; None when a
-    file it needs is missing. The bank must match the checkpoint's encoder."""
+    """Load the checkpoint and, when its model retrieves, the bank; None when
+    there is no checkpoint. A retrieval checkpoint without its bank file is a
+    data error, and the bank must match the checkpoint's encoder."""
     paths = config["paths"]
     ckpt_path, bank_path = Path(paths["checkpoint"]), Path(paths["bank"])
     if not ckpt_path.exists():
@@ -281,8 +282,6 @@ def _load_pretrained(config: dict):
     model = load_checkpoint(ckpt_path)
     if not model.config.retrieval_enabled:
         return model, None
-    if not bank_path.exists():
-        return None
     bank, _ = load_bank(bank_path, expected_encoder_version=model.encoder_version())
     model.refresh_bank(bank)
     return model, bank

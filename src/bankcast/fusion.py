@@ -36,7 +36,7 @@ def fuse(backbone_pred: Var, prior: Var, params: FusionParams, valid: np.ndarray
     `valid` is an (n, 1) 0/1 array flagging regions whose retrieval produced
     candidates; invalid rows skip the correction path entirely.
     """
-    projected = ad.matmul(prior, ad.transpose(params.prior_proj))
-    gate = ad.sigmoid(ad.matmul(ad.concat([backbone_pred, projected], axis=1), ad.transpose(params.gate)))
+    projected = ad.linear(prior, params.prior_proj)
+    gate = ad.sigmoid(ad.linear(ad.concat([backbone_pred, projected], axis=1), params.gate))
     correction = ad.mul(ad.mul(params.scale, ad.constant(valid)), ad.mul(gate, projected))
     return ad.add(backbone_pred, correction)

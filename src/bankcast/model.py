@@ -1,10 +1,11 @@
 """Full forecaster: backbone + memory-bank retrieval + gated fusion.
 
 One Model owns the parameter store, the normalization statistics (z-score over
-the source train split, stored in checkpoints), and the forward pass for a
-single forecasting instance over an arbitrary region set. Scoring against the
-bank uses cached keys as constants; the alignment loss re-encodes its selected
-entries so both encoder sides receive gradients.
+the source train split, stored in checkpoints), and the forward pass: a
+batch of forecasting instances over one arbitrary region set, stacked as
+region-major rows on one tape (a single instance is a batch of one). Scoring
+against the bank uses cached keys as constants; the alignment loss re-encodes
+its selected entries so both encoder sides receive gradients.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -60,12 +62,16 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    y_hat: Var  # (n, H) fused prediction, normalized space
-    y_tilde: Var  # (n, H) backbone prediction, normalized space
-    queries: Var | None  # (n, d_r) unit rows
+    """One row per (region, instance), region-major; see `Model.forward_batch`."""
+
+    y_hat: Var  # (rows, H) fused prediction, normalized space
+    y_tilde: Var  # (rows, H) backbone prediction, normalized space
+    queries: Var | None  # (rows, d_r) unit rows
     l_ret: Var | None  # scalar alignment loss (training mode only)
-    rows: list[RetrievalRow] | None  # per-region retrieval diagnostics, raw scale
-    valid: np.ndarray  # (n, 1) 0/1 retrieval-validity flags
+    valid: np.ndarray  # (rows, 1) 0/1 retrieval-validity flags
+    selected: list[np.ndarray] | None = None  # per row, its top-K bank entry indices
+    weights: Sequence[np.ndarray] | None = None  # per row, the softmax weights of those entries
+    rows: list[RetrievalRow] | None = None  # per-region retrieval diagnostics (`forward` only)
 
 
 class Model:
@@ -136,73 +142,129 @@ class Model:
         exclude_anchor: int | None = None,
         true_futures: np.ndarray | None = None,
     ) -> ForwardResult:
-        """Run one forecasting instance over a region set.
+        """Run one forecasting instance over a region set: `forward_batch` with
+        B = 1, plus one `RetrievalRow` per region.
 
-        contexts: (n, d_c); history: (W, n) raw demand; mask: (n,) 0/1 history
-        availability. Masked columns are re-zeroed after normalization so an
-        unobserved region contributes exactly zero temporal signal regardless
-        of what its raw history column holds. Passing `true_futures` (H, n,
-        raw) enables the retrieval alignment loss; `exclude_anchor` drops each
-        region's own (anchor, region) bank entry from its candidates.
+        history: (W, n) raw demand; mask: (n,); true_futures: (H, n) raw.
         """
-        n = contexts.shape[0]
+        res = self.forward_batch(
+            contexts,
+            history[None],
+            mask[None],
+            [hour],
+            bank=bank,
+            k=k,
+            temperature=temperature,
+            region_ids=region_ids,
+            exclude_anchors=None if exclude_anchor is None else [exclude_anchor],
+            true_futures=None if true_futures is None else true_futures[None],
+        )
+        if res.selected is not None:
+            res.rows = [
+                RetrievalRow(indices=idx, weights=w, prior=w @ bank.futures[idx], valid=idx.size > 0)
+                for idx, w in zip(res.selected, res.weights)
+            ]
+        return res
+
+    def forward_batch(
+        self,
+        contexts: np.ndarray,
+        histories: np.ndarray,
+        masks: np.ndarray,
+        hours: Sequence[int],
+        bank: MemoryBank | None = None,
+        k: int = 8,
+        temperature: float = 0.1,
+        region_ids: np.ndarray | None = None,
+        exclude_anchors: Sequence[int] | None = None,
+        true_futures: np.ndarray | None = None,
+    ) -> ForwardResult:
+        """Run B forecasting instances over one shared region set, on one tape.
+
+        contexts: (n, d_c); histories: (B, W, n) raw demand; masks: (B, n)
+        0/1 history availability; hours: (B,). Every output row is region-major:
+        row i·B + b is region i of instance b, so the context projection and
+        the adjacency run once and message passing aggregates all instances
+        with one product. Masked columns are re-zeroed after normalization so
+        an unobserved region contributes exactly zero temporal signal whatever
+        its raw history holds. `exclude_anchors` (B,) drops each row's own
+        (anchor, region id) bank entry from its candidates. Passing
+        `true_futures` (B, H, n, raw) enables the retrieval alignment loss:
+        the rows of instance b with candidates, c_b of them, each weigh
+        1/(B·c_b), so it is the mean of the per-instance losses.
+        """
+        hours = np.asarray(hours)
+        n_inst, n = len(hours), contexts.shape[0]
+        n_rows = n * n_inst
         if region_ids is None:
             region_ids = np.arange(n)
-        hist_norm = self.normalize(history) * mask[None, :]
-        ctx = ad.constant(contexts)
-        hist_rows = ad.constant(hist_norm.T)
+        region_of_row = np.repeat(np.arange(n), n_inst)
+        hist_norm = self.normalize(np.asarray(histories)) * np.asarray(masks)[:, None, :]
+        hist_rows = ad.constant(hist_norm.transpose(2, 0, 1).reshape(n_rows, -1))
 
-        node_embed = project_context(ctx, self.backbone.context_proj)
+        node_embed = project_context(ad.constant(contexts), self.backbone.context_proj)
         adjacency = build_adjacency(node_embed)
         temporal = encode_history(hist_rows, self.backbone.temporal_proj)
-        h0 = ad.concat([temporal, node_embed], axis=1)
+        # each region's node embedding, once per instance (a batch of one needs no gather)
+        node_rows = node_embed if n_inst == 1 else ad.take_rows(node_embed, region_of_row)
+        h0 = ad.concat([temporal, node_rows], axis=1)
         hl = message_pass(h0, adjacency, self.backbone.gcn)
         y_tilde = forecast_head(hl, self.backbone)
 
         if not self.config.retrieval_enabled or bank is None:
             return ForwardResult(
-                y_hat=y_tilde,
-                y_tilde=y_tilde,
-                queries=None,
-                l_ret=None,
-                rows=None,
-                valid=np.zeros((n, 1)),
+                y_hat=y_tilde, y_tilde=y_tilde, queries=None, l_ret=None, valid=np.zeros((n_rows, 1))
             )
 
-        queries = encode_retrieval(ctx, hist_rows, np.full(n, hour), self.retriever)
+        row_hours = np.tile(hours, n)
+        queries = encode_retrieval(
+            ad.constant(contexts[region_of_row]), hist_rows, row_hours, self.retriever
+        )
         excludes = None
-        if exclude_anchor is not None:
-            excludes = [(exclude_anchor, int(rid)) for rid in region_ids]
-        selections = select_top_batch(bank, queries.value, hour, k, excludes)
-        selected = [idx for idx, _ in selections]
+        if exclude_anchors is not None:
+            anchors = np.tile(exclude_anchors, n).tolist()
+            excludes = list(zip(anchors, np.asarray(region_ids)[region_of_row].tolist()))
+        selected: list[np.ndarray] = [None] * n_rows
+        for hour in np.unique(hours):
+            rows = np.flatnonzero(row_hours == hour)
+            picks = select_top_batch(
+                bank, queries.value[rows], int(hour), k,
+                None if excludes is None else [excludes[r] for r in rows],
+            )
+            for r, (idx, _) in zip(rows, picks):
+                selected[r] = idx
         if all(idx.size == k for idx in selected):
-            prior, valid, rows = self._dense_priors(queries, bank, selected, k, temperature)
+            prior, valid, weights = self._dense_priors(queries, bank, selected, k, temperature)
         else:
-            prior, valid, rows = self._ragged_priors(queries, bank, selected, temperature)
+            prior, valid, weights = self._ragged_priors(queries, bank, selected, temperature)
         y_hat = fuse(y_tilde, prior, self.fusion, valid)
 
         l_ret = None
-        if true_futures is not None:
-            with_cand = [i for i in range(n) if selected[i].size > 0]
-            if with_cand:
-                best = future_nearest_batch(bank, selected, with_cand, true_futures)
-                keys_live = encode_retrieval(
-                    ad.constant(bank.contexts[best]),
-                    ad.constant(self.normalize(bank.histories[best])),
-                    bank.hours[best],
-                    self.retriever,
-                )
-                if self.config.stop_key_grad:
-                    keys_live = ad.constant(keys_live.value)
-                l_ret = alignment_loss(ad.take_rows(queries, with_cand), keys_live)
+        with_cand = np.flatnonzero(valid[:, 0])
+        if true_futures is not None and with_cand.size:
+            futures_rows = np.asarray(true_futures).transpose(1, 2, 0).reshape(-1, n_rows)
+            best = future_nearest_batch(bank, selected, with_cand, futures_rows)
+            keys_live = encode_retrieval(
+                ad.constant(bank.contexts[best]),
+                ad.constant(self.normalize(bank.histories[best])),
+                bank.hours[best],
+                self.retriever,
+            )
+            if self.config.stop_key_grad:
+                keys_live = ad.constant(keys_live.value)
+            inst = with_cand % n_inst
+            row_weight = 1.0 / (n_inst * np.bincount(inst, minlength=n_inst)[inst])
+            l_ret = alignment_loss(ad.take_rows(queries, with_cand), keys_live, row_weight[:, None])
         return ForwardResult(
-            y_hat=y_hat, y_tilde=y_tilde, queries=queries, l_ret=l_ret, rows=rows, valid=valid
+            y_hat=y_hat, y_tilde=y_tilde, queries=queries, l_ret=l_ret, valid=valid,
+            selected=selected, weights=weights,
         )
 
     def _dense_priors(
         self, queries: Var, bank: MemoryBank, selected: list[np.ndarray], k: int, temperature: float
-    ) -> tuple[Var, np.ndarray, list[RetrievalRow]]:
-        """Priors for the common case of exactly k candidates per region, batched.
+    ) -> tuple[Var, np.ndarray, np.ndarray]:
+        """Priors for the common case of exactly k candidates per row, batched;
+        the weights are one (rows, k) array.
 
         Rebuilding the selected scores on the tape (rather than reusing the
         selection-time GEMM) keeps the graph self-contained so gradients flow
@@ -210,61 +272,34 @@ class Model:
         """
         n = queries.value.shape[0]
         flat_idx = np.concatenate(selected)
-        rep = np.repeat(np.arange(n), k)
-        scores_flat = ad.reduce_sum(
-            ad.mul(ad.take_rows(queries, rep), ad.constant(bank.keys[flat_idx])),
-            axis=1,
-            keepdims=True,
-        )
-        alpha = ad.row_softmax(ad.reshape(scores_flat, (n, k)), temperature)
-        weighted = ad.mul(ad.reshape(alpha, (n * k, 1)), ad.constant(self.normalize(bank.futures[flat_idx])))
-        prior = ad.reduce_sum(ad.reshape(weighted, (n, k, -1)), axis=1)
-        rows = [
-            RetrievalRow(
-                indices=selected[i],
-                weights=alpha.value[i].copy(),
-                prior=alpha.value[i] @ bank.futures[selected[i]],
-                valid=True,
-            )
-            for i in range(n)
-        ]
-        return prior, np.ones((n, 1)), rows
+        keys = ad.constant(bank.keys[flat_idx].reshape(n, k, -1))
+        scores = ad.reduce_sum(ad.mul(ad.reshape(queries, (n, 1, -1)), keys), axis=2)
+        alpha = ad.row_softmax(scores, temperature)
+        futures = ad.constant(self.normalize(bank.futures[flat_idx]).reshape(n, k, -1))
+        prior = ad.reduce_sum(ad.mul(ad.reshape(alpha, (n, k, 1)), futures), axis=1)
+        return prior, np.ones((n, 1)), alpha.value
 
     def _ragged_priors(
         self, queries: Var, bank: MemoryBank, selected: list[np.ndarray], temperature: float
-    ) -> tuple[Var, np.ndarray, list[RetrievalRow]]:
-        """Per-region priors when candidate counts differ (small buckets, exclusions)."""
+    ) -> tuple[Var, np.ndarray, list[np.ndarray]]:
+        """Per-row priors when candidate counts differ (small buckets, exclusions)."""
         n = queries.value.shape[0]
         valid = np.zeros((n, 1))
         prior_parts: list[Var] = []
-        rows: list[RetrievalRow] = []
+        weights: list[np.ndarray] = []
         zero_prior = ad.constant(np.zeros((1, self.config.horizon)))
         for i, idx in enumerate(selected):
             if idx.size == 0:
                 prior_parts.append(zero_prior)
-                rows.append(
-                    RetrievalRow(
-                        indices=idx,
-                        weights=np.empty(0),
-                        prior=np.zeros(self.config.horizon),
-                        valid=False,
-                    )
-                )
+                weights.append(np.empty(0))
                 continue
             valid[i, 0] = 1.0
             scores = ad.matmul(ad.take_rows(queries, [i]), ad.constant(bank.keys[idx].T))
             alpha = ad.row_softmax(scores, temperature)
             prior_parts.append(ad.matmul(alpha, ad.constant(self.normalize(bank.futures[idx]))))
-            rows.append(
-                RetrievalRow(
-                    indices=idx,
-                    weights=alpha.value[0].copy(),
-                    prior=alpha.value[0] @ bank.futures[idx],
-                    valid=True,
-                )
-            )
+            weights.append(alpha.value[0])
         prior = prior_parts[0] if n == 1 else ad.concat(prior_parts, axis=0)
-        return prior, valid, rows
+        return prior, valid, weights
 
 
 # ---------------------------------------------------------------------------

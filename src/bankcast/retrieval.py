@@ -74,12 +74,12 @@ def encode_retrieval(contexts: Var, histories: Var, hours, params: RetrieverPara
     hours = np.asarray(hours, dtype=np.intp)
     if np.any(hours < 0) or np.any(hours >= 24):
         raise ValueError("hour indices must lie in [0, 24)")
-    e_ctx = ad.matmul(contexts, ad.transpose(params.context_proj))
+    e_ctx = ad.linear(contexts, params.context_proj)
     e_hour = ad.take_rows(params.hour_table, hours)
-    e_dyn = ad.matmul(ad.concat([histories, e_hour], axis=1), ad.transpose(params.temporal_proj))
+    e_dyn = ad.linear(ad.concat([histories, e_hour], axis=1), params.temporal_proj)
     z = ad.concat([e_ctx, e_dyn], axis=1)
-    h = ad.relu(ad.add(ad.matmul(z, ad.transpose(params.psi_w1)), params.psi_b1))
-    out = ad.add(ad.matmul(h, ad.transpose(params.psi_w2)), params.psi_b2)
+    h = ad.relu(ad.linear(z, params.psi_w1, params.psi_b1))
+    out = ad.linear(h, params.psi_w2, params.psi_b2)
     return ad.l2_normalize_rows(out)
 
 
@@ -238,17 +238,21 @@ def select_top_batch(
         ex = np.array([excludes[i] for i in rows], dtype=np.int64)
         hit = (bank.anchors[bucket] == ex[:, :1]) & (bank.region_ids[bucket] == ex[:, 1:])
         scores[rows] = np.where(hit, -np.inf, scores[rows])
-    # every candidate scoring at least the k-th largest score survives, so a
-    # stable sort of the survivors by -score keeps the smaller-index tie rule
+    # every candidate scoring at least its row's k-th largest score survives;
+    # sorting the survivors by (row, -score, entry index) ranks each row with
+    # the smaller-index tie rule, then each row keeps its first k finite ones
     pivot = cand.size - min(k, cand.size)
     kth = np.partition(scores, pivot, axis=1)[:, pivot]
-    out = []
-    for i in range(n):
-        top = np.flatnonzero(scores[i] >= kth[i])
-        top = top[np.argsort(-scores[i, top], kind="stable")[:k]]
-        top = top[scores[i, top] > -np.inf]
-        out.append((cand[top], scores[i, top]))
-    return out
+    row, col = np.nonzero(scores >= kth[:, None])
+    top = scores[row, col]
+    order = np.lexsort((col, -top, row))
+    row, col, top = row[order], col[order], top[order]
+    counts = np.bincount(row, minlength=n)
+    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = (rank < k) & (top > -np.inf)
+    ends = np.cumsum(np.bincount(row[keep], minlength=n)).tolist()
+    idx, top = cand[col[keep]], top[keep]
+    return [(idx[lo:hi], top[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def retrieve(
@@ -290,10 +294,14 @@ def future_nearest_batch(
     return flat[order[np.cumsum([0] + counts[:-1])]].tolist()
 
 
-def alignment_loss(queries: Var, keys: Var) -> Var:
-    """Mean (1 - q . k) over matched rows of unit-norm queries and keys."""
+def alignment_loss(queries: Var, keys: Var, weights: np.ndarray | None = None) -> Var:
+    """Weighted sum of (1 - q . k) over matched rows of unit-norm queries and
+    keys; `weights` is (rows, 1), by default 1/rows, which gives the mean."""
     cos = ad.reduce_sum(ad.mul(queries, keys), axis=1, keepdims=True)
-    return ad.mean(ad.sub(ad.constant(np.ones_like(cos.value)), cos))
+    if weights is None:
+        weights = np.full_like(cos.value, 1.0 / cos.value.shape[0])
+    gap = ad.sub(ad.constant(np.ones_like(cos.value)), cos)
+    return ad.reduce_sum(ad.mul(gap, ad.constant(weights)))
 
 
 # ---------------------------------------------------------------------------

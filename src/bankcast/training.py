@@ -2,10 +2,11 @@
 
 One batch is a set of anchor instances sharing a freshly sampled inactive
 region set; histories of inactive regions are zeroed to rehearse cold-start
-conditions while their futures still supervise the forecast. Bank keys are
-re-encoded once per epoch since retriever parameters drift. Everything is
-driven by a single seeded Generator, so a fixed (config, seed) reproduces the
-parameter trajectory bit for bit.
+conditions while their futures still supervise the forecast. A batch runs as
+one forward pass over region-major stacked rows and one backward pass over
+its tape. Bank keys are re-encoded once per epoch since retriever parameters
+drift. Everything is driven by a single seeded Generator, so a fixed (config,
+seed) reproduces the parameter trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Var
 from .data import CityDataset, ForecastInstance, masked_view
 from .errors import DataError, DivergenceError
-from .model import Model
+from .model import ForwardResult, Model
 from .retrieval import MemoryBank, build_bank
 
 LOG_COLUMNS = (
@@ -142,6 +143,71 @@ def combine_losses(l_pred: Var, l_ret: Var | None, lambda_ret: float) -> Var:
     return ad.add(l_pred, ad.mul(l_ret, lambda_ret))
 
 
+def _forward_views(
+    model: Model,
+    views: list[ForecastInstance],
+    contexts: np.ndarray,
+    obs: np.ndarray,
+    bank: MemoryBank | None,
+    config: TrainConfig,
+    **kwargs,
+) -> ForwardResult:
+    """`Model.forward_batch` over the observable regions of several instances."""
+    return model.forward_batch(
+        contexts[obs],
+        np.stack([v.history[:, obs] for v in views]),
+        np.stack([v.mask[obs] for v in views]),
+        [v.hour for v in views],
+        bank=bank,
+        k=config.k,
+        temperature=config.temperature,
+        region_ids=obs,
+        **kwargs,
+    )
+
+
+def _region_major(futures: np.ndarray) -> np.ndarray:
+    """(B, H, n) -> (n·B, H), row i·B + b being region i of instance b."""
+    return futures.transpose(2, 0, 1).reshape(-1, futures.shape[1])
+
+
+def batch_loss(
+    model: Model,
+    instances: list[ForecastInstance],
+    contexts: np.ndarray,
+    observable: list[int],
+    inactive: list[int],
+    bank: MemoryBank | None,
+    config: TrainConfig,
+) -> tuple[Var, Var, Var | None]:
+    """Total, prediction, and retrieval losses of a batch of masked training
+    instances that share the observable and inactive region sets, on one tape.
+
+    Each equals the mean of the instances' own losses. The retrieval loss is
+    computed whenever a bank is present (the lambda=0 ablation still logs it);
+    it only joins the optimized objective when lambda_ret > 0.
+    """
+    views = [masked_view(inst, inactive) for inst in instances]
+    obs = np.asarray(observable)
+    futures_raw = np.stack([inst.future[:, obs] for inst in instances])
+    res = _forward_views(
+        model, views, contexts, obs, bank, config,
+        exclude_anchors=[inst.t for inst in instances],
+        true_futures=futures_raw if bank is not None else None,
+    )
+    if config.supervise_inactive:
+        supervise = np.arange(len(observable))
+    else:
+        inactive_set = set(inactive)
+        supervise = np.array(
+            [i for i, rid in enumerate(observable) if rid not in inactive_set], dtype=np.intp
+        )
+    rows = (supervise[:, None] * len(instances) + np.arange(len(instances))).reshape(-1)
+    l_pred = masked_l1(res.y_hat, model.normalize(_region_major(futures_raw)), rows)
+    total = combine_losses(l_pred, res.l_ret, config.lambda_ret)
+    return total, l_pred, res.l_ret
+
+
 def instance_loss(
     model: Model,
     instance: ForecastInstance,
@@ -151,36 +217,8 @@ def instance_loss(
     bank: MemoryBank | None,
     config: TrainConfig,
 ) -> tuple[Var, Var, Var | None]:
-    """Total, prediction, and retrieval losses for one masked training instance.
-
-    The retrieval loss is computed whenever a bank is present (the lambda=0
-    ablation still logs it); it only joins the optimized objective when
-    lambda_ret > 0.
-    """
-    masked = masked_view(instance, inactive)
-    obs = np.asarray(observable)
-    futures_raw = instance.future[:, obs]
-    res = model.forward(
-        contexts[obs],
-        masked.history[:, obs],
-        masked.mask[obs],
-        masked.hour,
-        bank=bank,
-        k=config.k,
-        temperature=config.temperature,
-        region_ids=obs,
-        exclude_anchor=instance.t,
-        true_futures=futures_raw if bank is not None else None,
-    )
-    target_norm = model.normalize(futures_raw.T)
-    if config.supervise_inactive:
-        supervise = list(range(len(observable)))
-    else:
-        inactive_set = set(inactive)
-        supervise = [i for i, rid in enumerate(observable) if rid not in inactive_set]
-    l_pred = masked_l1(res.y_hat, target_norm, supervise)
-    total = combine_losses(l_pred, res.l_ret, config.lambda_ret)
-    return total, l_pred, res.l_ret
+    """`batch_loss` of a single masked training instance."""
+    return batch_loss(model, [instance], contexts, observable, inactive, bank, config)
 
 
 def validation_metrics(
@@ -192,7 +230,8 @@ def validation_metrics(
     config: TrainConfig,
     val_inactive: list[int] | None = None,
 ) -> tuple[float, float]:
-    """Raw-scale MAE/RMSE over observable regions.
+    """Raw-scale MAE/RMSE over observable regions, forwarding `batch_size`
+    instances at a time.
 
     When `val_inactive` is given, those regions' histories are zero-masked so
     the score (and therefore checkpoint selection) rewards cold-start skill,
@@ -200,20 +239,13 @@ def validation_metrics(
     """
     obs = np.asarray(observable)
     abs_sum, sq_sum, count = 0.0, 0.0, 0
-    for inst in val_instances:
-        view = masked_view(inst, val_inactive) if val_inactive else inst
-        res = model.forward(
-            contexts[obs],
-            view.history[:, obs],
-            view.mask[obs],
-            view.hour,
-            bank=bank,
-            k=config.k,
-            temperature=config.temperature,
-            region_ids=obs,
+    for start in range(0, len(val_instances), config.batch_size):
+        chunk = val_instances[start : start + config.batch_size]
+        views = [masked_view(inst, val_inactive) if val_inactive else inst for inst in chunk]
+        res = _forward_views(model, views, contexts, obs, bank, config)
+        err = model.denormalize(res.y_hat.value) - _region_major(
+            np.stack([inst.future[:, obs] for inst in chunk])
         )
-        pred = model.denormalize(res.y_hat.value)
-        err = pred - inst.future[:, obs].T
         abs_sum += float(np.abs(err).sum())
         sq_sum += float((err * err).sum())
         count += err.size
@@ -281,32 +313,22 @@ def train(
         loss_sum = pred_sum = ret_sum = norm_sum = 0.0
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
-            batch_idx = order[start : start + config.batch_size]
+            batch = [train_instances[bi] for bi in order[start : start + config.batch_size]]
             _, inactive = sample_active(observable, config.n_inactive_per_batch, rng)
-            totals, preds, rets = [], [], []
-            for bi in batch_idx:
-                total, l_pred, l_ret = instance_loss(
-                    model, train_instances[bi], contexts, observable, inactive, bank, config
-                )
-                totals.append(total)
-                preds.append(float(l_pred.value))
-                if l_ret is not None:
-                    rets.append(float(l_ret.value))
-            batch_loss = totals[0]
-            for t in totals[1:]:
-                batch_loss = ad.add(batch_loss, t)
-            batch_loss = ad.mul(batch_loss, 1.0 / len(totals))
-            if not np.isfinite(batch_loss.value):
+            total, l_pred, l_ret = batch_loss(
+                model, batch, contexts, observable, inactive, bank, config
+            )
+            if not np.isfinite(total.value):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {n_batches}"
                 )
             model.store.zero_grad()
-            ad.backward(batch_loss)
+            ad.backward(total)
             norm_sum += clip_gradients(model.store, config.clip_norm)
             optimizer.step()
-            loss_sum += float(batch_loss.value)
-            pred_sum += float(np.mean(preds))
-            ret_sum += float(np.mean(rets)) if rets else 0.0
+            loss_sum += float(total.value)
+            pred_sum += float(l_pred.value)
+            ret_sum += float(l_ret.value) if l_ret is not None else 0.0
             n_batches += 1
 
         val_mae, val_rmse = validation_metrics(

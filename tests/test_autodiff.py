@@ -66,6 +66,8 @@ def assert_grads_close(fn, store, rtol=1e-5):
         "sub",
         "mul_broadcast",
         "matmul",
+        "linear",
+        "linear_bias",
         "transpose",
         "concat",
         "take_rows",
@@ -95,6 +97,13 @@ def test_op_gradients_match_central_differences(name):
     elif name == "matmul":
         b = store.register("b", rng.normal(size=(4, 2)))
         fn = lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))
+    elif name == "linear":
+        w = store.register("w", rng.normal(size=(2, 4)))
+        fn = lambda: ad.reduce_sum(ad.mul(ad.linear(a, w), ad.linear(a, w)))
+    elif name == "linear_bias":
+        w = store.register("w", rng.normal(size=(2, 4)))
+        b = store.register("b", rng.normal(size=(1, 2)))
+        fn = lambda: ad.reduce_sum(ad.mul(ad.linear(a, w, b), ad.linear(a, w, b)))
     elif name == "transpose":
         fn = lambda: ad.reduce_sum(ad.mul(ad.transpose(a), ad.transpose(a)))
     elif name == "concat":
@@ -122,6 +131,23 @@ def test_op_gradients_match_central_differences(name):
             ad.mul(ad.l2_normalize_rows(a), ad.constant(np.arange(12.0).reshape(3, 4)))
         )
     assert_grads_close(fn, store)
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [[4, 0, 2, 0, 4, 4, 1], [3], []],
+    ids=["unsorted-repeated", "single", "empty"],
+)
+def test_take_rows_backward_matches_add_at(idx):
+    rng = np.random.default_rng(len(idx))
+    a = ad.Var(rng.normal(size=(5, 3)))
+    out = ad.take_rows(a, idx)
+    assert out.value.shape == (len(idx), 3)
+    g = rng.normal(size=out.value.shape)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    expected = np.zeros((5, 3))
+    np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
+    assert np.array_equal(a.grad, expected)
 
 
 def test_diamond_graph_accumulates():

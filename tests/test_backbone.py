@@ -132,6 +132,23 @@ class TestMessagePass:
         agg = matmul_oracle(matmul_oracle(a, h0), w)
         assert np.allclose(out.value, np.maximum(agg, 0.0) + h0, atol=1e-12)
 
+    def test_stacked_instances_match_per_instance_calls(self):
+        # three instances over 4 regions, stacked region-major: row i*3 + b
+        rng = np.random.default_rng(12)
+        n, n_inst, d = 4, 3, 5
+        per_instance = rng.normal(size=(n_inst, n, d))
+        a = numerics.row_softmax(rng.normal(size=(n, n)))
+        weights = [ad.constant(rng.normal(size=(d, d))) for _ in range(2)]
+        stacked = per_instance.transpose(1, 0, 2).reshape(n * n_inst, d)
+        out = backbone.message_pass(ad.constant(stacked), ad.constant(a), weights)
+        for b in range(n_inst):
+            single = backbone.message_pass(ad.constant(per_instance[b]), ad.constant(a), weights)
+            assert np.allclose(out.value[b::n_inst], single.value, rtol=1e-13, atol=1e-13)
+
+    def test_rejects_rows_that_do_not_stack(self):
+        with pytest.raises(ValueError, match="do not stack"):
+            backbone.message_pass(ad.constant(np.ones((5, 3))), ad.constant(np.eye(2)), [])
+
     def test_rejects_nonsquare_weight(self):
         with pytest.raises(ValueError):
             backbone.message_pass(

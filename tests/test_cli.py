@@ -338,6 +338,14 @@ class TestHoldoutGuard:
         report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
         assert report["extras"]["best_epoch"] == -1  # the checkpoint was used, not retrained
 
+    def test_missing_bank_exits_3_without_retraining(self, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        (tmp_path / "bank.bin").unlink()
+        assert run_cli("--config", str(p), "eval") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path / "bank.bin") in err
+        assert not (tmp_path / "runs" / "seed_1" / "report.json").exists()
+
     def test_pretrained_eval_uses_stored_holdout(self, trained_artifacts, tmp_path, capsys):
         p = copy_artifacts(trained_artifacts, tmp_path)
         assert run_cli("--config", str(p), "eval") == 0

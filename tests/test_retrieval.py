@@ -389,6 +389,22 @@ class TestSelectTopBatch:
         with pytest.raises(ValueError, match="excludes has"):
             select_top_batch(self.bank(), self.queries(), 3, 2, [None] * n_excludes)
 
+    def test_one_call_mixes_ties_exclusion_and_short_bucket(self):
+        # row 0 ties five B keys at the 3rd score; row 1's excluded entry (A,
+        # entry 3) would otherwise rank first; row 2 asks for more than the
+        # 9-entry bucket holds and excludes one of them
+        bank = self.bank()
+        queries = np.vstack([KEY_A, KEY_A, KEY_C])
+        ks_and_excludes = [(3, [None, excl(bank, 3), None]), (12, [None, excl(bank, 3), excl(bank, 5)])]
+        for k, excludes in ks_and_excludes:
+            out = select_top_batch(bank, queries, 3, k, excludes)
+            for q, ex, (idx, scores) in zip(queries, excludes, out):
+                assert idx.tolist() == brute_force_retrieve(bank, q, 3, k, 0.3, exclude=ex)[0]
+                assert np.allclose(scores, bank.keys[idx] @ q, atol=1e-12)
+        assert [idx.tolist() for idx, _ in out] == [
+            [3, 0, 2, 4, 6, 8, 1, 5, 7], [0, 2, 4, 6, 8, 1, 5, 7], [1, 7, 0, 2, 4, 6, 8, 3],
+        ]
+
     def test_random_rows_match_linear_scan(self):
         rng = np.random.default_rng(47)
         entries = make_entries(300, seed=47)

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from bankcast import autodiff as ad
-from bankcast.data import SyntheticSpec, generate_synthetic_city, make_windows, split_windows
+from bankcast.data import (
+    SyntheticSpec,
+    generate_synthetic_city,
+    make_windows,
+    masked_view,
+    split_windows,
+)
 from bankcast.errors import DataError
+from bankcast.gradcheck import grad_check
 from bankcast.model import Model, ModelConfig
+from bankcast.retrieval import build_bank
 from bankcast.training import (
     TrainConfig,
+    batch_loss,
     combine_losses,
     instance_loss,
     masked_l1,
@@ -247,3 +256,148 @@ class TestTrainLoop:
 
         with pytest.raises(DivergenceError):
             train(model, city, list(range(city.n_regions)), tr[:4], va[:2], toy_train_config(epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# one tape per batch
+
+
+def live_model(**kw) -> Model:
+    """A toy model with every parameter perturbed, so fusion and retrieval matter."""
+    model = toy_model(**kw)
+    rng = np.random.default_rng(31)
+    for _, var in model.store.items():
+        var.value = var.value + rng.normal(0.0, 0.1, size=var.value.shape)
+    return model
+
+
+def batch_setup(retrieval_enabled=True, bank_windows=40, bank_regions=None):
+    city = toy_city()
+    tr, _, _ = split_windows(make_windows(city))
+    model = live_model(retrieval_enabled=retrieval_enabled)
+    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+    contexts = city.contexts()
+    observable = list(range(city.n_regions))
+    bank = None
+    if retrieval_enabled:
+        bank = build_bank(
+            tr[:bank_windows], bank_regions or observable, contexts,
+            model.encode_entries, model.encoder_version(),
+        )
+    # anchors 24 apart share an hour: two instances at each of two hours
+    instances = [tr[0], tr[7], tr[24], tr[31]]
+    return model, instances, contexts, observable, bank
+
+
+def losses_and_grads(model, fn):
+    total, l_pred, l_ret = fn()
+    model.store.zero_grad()
+    ad.backward(total)
+    return total, l_pred, l_ret, model.store.grads()
+
+
+def assert_close(a, b, what):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(np.abs(b).max(initial=0.0), 1e-300)
+    assert np.abs(a - b).max(initial=0.0) <= 1e-12 * scale, what
+
+
+BATCH_CASES = {
+    "retrieval": (dict(), dict()),
+    "graph-only": (dict(retrieval_enabled=False), dict()),
+    "lambda-zero": (dict(), dict(lambda_ret=0.0)),
+    "observed-supervision": (dict(), dict(supervise_inactive=False)),
+    # hour buckets of one entry, and no entries at the hour of two of the
+    # instances: rows and whole instances without candidates, every row short of k
+    "ragged": (dict(bank_windows=7, bank_regions=[0]), dict(k=3)),
+}
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_equals_mean_of_instance_losses(self, case):
+        setup_kw, cfg_kw = BATCH_CASES[case]
+        model, instances, contexts, observable, bank = batch_setup(**setup_kw)
+        cfg = toy_train_config(**cfg_kw)
+        inactive = [1, 4]
+        total, l_pred, l_ret, grads = losses_and_grads(
+            model, lambda: batch_loss(model, instances, contexts, observable, inactive, bank, cfg)
+        )
+        singles = [
+            losses_and_grads(
+                model, lambda inst=inst: instance_loss(model, inst, contexts, observable, inactive, bank, cfg)
+            )
+            for inst in instances
+        ]
+        n = len(instances)
+        assert_close(total.value, sum(float(s[0].value) for s in singles) / n, "total")
+        assert_close(l_pred.value, sum(float(s[1].value) for s in singles) / n, "l_pred")
+        rets = [float(s[2].value) for s in singles if s[2] is not None]
+        assert (l_ret is None) == (not rets)
+        if rets:
+            assert_close(l_ret.value, sum(rets) / n, "l_ret")
+        for name in model.store.names():
+            assert_close(grads[name], sum(s[3][name] for s in singles) / n, name)
+        if case == "ragged":
+            assert 0 < len(rets) < n  # some instances have no candidate at all
+
+    def test_grad_check_three_instances(self):
+        spec = SyntheticSpec(
+            n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
+            scale_range=(8.0, 20.0),
+        )
+        city = generate_synthetic_city(spec, name="toy")
+        cfg = ModelConfig(
+            d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,
+            gcn_layers=1, d_r=12, d_h=4, d_ec=8, d_ex=8, psi_hidden=16,
+        )
+        model = Model(cfg, seed=1)
+        model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+        rng = np.random.default_rng(7)
+        for _, var in model.store.items():
+            var.value = rng.normal(0.0, 0.3, size=var.value.shape)
+        windows = make_windows(city, 4, 4)
+        contexts = city.contexts()
+        # every hour has bank entries, so each row retrieves and aligns
+        bank = build_bank(windows[:30], [0, 1, 2], contexts, model.encode_entries, "v")
+        batch = [windows[31], windows[40], windows[44]]
+        tc = TrainConfig(k=2, lambda_ret=0.2, temperature=0.1)
+        _, _, l_ret = batch_loss(model, batch, contexts, [0, 1, 2, 3], [1], bank, tc)
+        assert l_ret is not None and float(model.fusion.scale.value.item()) != 0.0
+
+        def loss():
+            return batch_loss(model, batch, contexts, [0, 1, 2, 3], [1], bank, tc)[0]
+
+        report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
+        assert report.passed, report.summary()
+
+
+class TestForwardBatch:
+    def test_rows_match_per_instance_forward(self):
+        model, instances, contexts, observable, bank = batch_setup()
+        obs = np.asarray(observable)
+        views = [masked_view(inst, [2, 5]) for inst in instances]
+        res = model.forward_batch(
+            contexts[obs],
+            np.stack([v.history[:, obs] for v in views]),
+            np.stack([v.mask[obs] for v in views]),
+            [v.hour for v in views],
+            bank=bank, k=3, temperature=0.1, region_ids=obs,
+            exclude_anchors=[inst.t for inst in instances],
+        )
+        n_inst = len(instances)
+        for b, (inst, view) in enumerate(zip(instances, views)):
+            single = model.forward(
+                contexts[obs], view.history[:, obs], view.mask[obs], view.hour,
+                bank=bank, k=3, temperature=0.1, region_ids=obs, exclude_anchor=inst.t,
+            )
+            rows = slice(b, None, n_inst)  # region-major: row i * B + b
+            for name in ("y_hat", "y_tilde", "queries"):
+                got, want = getattr(res, name).value[rows], getattr(single, name).value
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
+            for i, row in enumerate(single.rows):
+                assert np.array_equal(res.selected[i * n_inst + b], row.indices)
+                assert np.allclose(res.weights[i * n_inst + b], row.weights, rtol=1e-12, atol=1e-12)
+                # no row retrieves its own (anchor, region) entry
+                sel = res.selected[i * n_inst + b]
+                assert not np.any((bank.anchors[sel] == inst.t) & (bank.region_ids[sel] == obs[i]))
