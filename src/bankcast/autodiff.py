@@ -2,13 +2,17 @@
 
 Each `Var` records its parents and a backward closure; `backward()` walks the
 implicit tape in reverse topological order and accumulates gradients into
-`Var.grad`. Only the operations the forecasting model actually needs are
+`Var.grad`. Inside `no_grad()` the same operations compute the same values
+but record no closure and skip the arrays only a backward pass reads, so
+forwards that are never differentiated (evaluation, key encoding) keep no
+backward state. Only the operations the forecasting model actually needs are
 implemented. Learnable arrays live in a `ParamStore`, a flat name -> leaf Var
 registry that the optimizer and the finite-difference checker both iterate.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +47,26 @@ class Var:
 
     def __mul__(self, other):
         return mul(self, other)
+
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Evaluate without a tape: ops inside record no backward closure.
+
+    Results keep their parent links, so the graph's shape stays inspectable,
+    but `backward` from them reaches no leaf. The values are the taped ops'
+    bit for bit. The previous mode is restored on exit, also on an
+    exception, so the context nests.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def constant(x) -> Var:
@@ -104,6 +128,8 @@ def backward(root: Var) -> None:
 def add(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
     out = Var(a.value + b.value, (a, b))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, _unbroadcast(g, a.value.shape))
@@ -116,6 +142,8 @@ def add(a, b) -> Var:
 def sub(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
     out = Var(a.value - b.value, (a, b))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, _unbroadcast(g, a.value.shape))
@@ -128,6 +156,8 @@ def sub(a, b) -> Var:
 def mul(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
     out = Var(a.value * b.value, (a, b))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, _unbroadcast(g * b.value, a.value.shape))
@@ -140,6 +170,8 @@ def mul(a, b) -> Var:
 def matmul(a: Var, b: Var) -> Var:
     a, b = _to_var(a), _to_var(b)
     out = Var(a.value @ b.value, (a, b))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, g @ b.value.T)
@@ -157,6 +189,8 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
         b = _to_var(b)
         value = value + b.value
     out = Var(value, (x, w) if b is None else (x, w, b))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(x, g @ w.value)
@@ -171,6 +205,8 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
 def transpose(a: Var) -> Var:
     a = _to_var(a)
     out = Var(a.value.T, (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, g.T)
@@ -182,6 +218,8 @@ def transpose(a: Var) -> Var:
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
     parts = [_to_var(p) for p in parts]
     out = Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
+    if not _grad_enabled:
+        return out
     sizes = [p.value.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -198,6 +236,8 @@ def concat(parts: Sequence[Var], axis: int = 1) -> Var:
 def reshape(a: Var, shape: tuple) -> Var:
     a = _to_var(a)
     out = Var(a.value.reshape(shape), (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, g.reshape(a.value.shape))
@@ -211,6 +251,8 @@ def take_rows(a: Var, idx) -> Var:
     a = _to_var(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = Var(a.value[idx], (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         # a stable sort groups each target row's gradient rows, in gather
@@ -232,6 +274,8 @@ def take_rows(a: Var, idx) -> Var:
 def relu(a: Var) -> Var:
     a = _to_var(a)
     out = Var(np.maximum(a.value, 0.0), (a,))
+    if not _grad_enabled:
+        return out
     mask = (a.value > 0).astype(np.float64)
 
     def _bw(g):
@@ -244,6 +288,8 @@ def relu(a: Var) -> Var:
 def gelu(a: Var) -> Var:
     a = _to_var(a)
     out = Var(numerics.gelu(a.value), (a,))
+    if not _grad_enabled:
+        return out
     da = numerics.gelu_grad(a.value)
 
     def _bw(g):
@@ -257,6 +303,8 @@ def sigmoid(a: Var) -> Var:
     a = _to_var(a)
     s = numerics.sigmoid(a.value)
     out = Var(s, (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         _accum(a, g * s * (1.0 - s))
@@ -268,6 +316,8 @@ def sigmoid(a: Var) -> Var:
 def absolute(a: Var) -> Var:
     a = _to_var(a)
     out = Var(np.abs(a.value), (a,))
+    if not _grad_enabled:
+        return out
     sgn = np.sign(a.value)
 
     def _bw(g):
@@ -284,6 +334,8 @@ def absolute(a: Var) -> Var:
 def reduce_sum(a: Var, axis=None, keepdims: bool = False) -> Var:
     a = _to_var(a)
     out = Var(a.value.sum(axis=axis, keepdims=keepdims), (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         if axis is not None and not keepdims:
@@ -305,6 +357,8 @@ def row_softmax(a: Var, temperature: float = 1.0) -> Var:
     a = _to_var(a)
     y = numerics.row_softmax(a.value, temperature)
     out = Var(y, (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         dot = (g * y).sum(axis=1, keepdims=True)
@@ -323,6 +377,8 @@ def l2_normalize_rows(a: Var, eps: float = numerics.NORM_EPS) -> Var:
         raise DegenerateEmbedding(f"row {bad} has L2 norm {norms[bad, 0]!r}")
     y = a.value / norms
     out = Var(y, (a,))
+    if not _grad_enabled:
+        return out
 
     def _bw(g):
         dot = (g * y).sum(axis=1, keepdims=True)

@@ -16,8 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     SyntheticSpec,
     generate_synthetic_city,
@@ -43,9 +41,9 @@ from .evaluation import (
     train_for_protocol,
     write_curves_csv,
 )
-from .gradcheck import grad_check
+from .gradcheck import grad_check, toy_objective
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .retrieval import build_bank, load_bank, save_bank
+from .retrieval import load_bank, save_bank
 from .training import TrainConfig, TrainResult, write_log_csv
 
 DEFAULT_CONFIG: dict = {
@@ -392,33 +390,10 @@ def cmd_ablate(config: dict) -> int:
 
 def cmd_grad_check(config: dict) -> int:
     """Finite-difference check of the full objective on a tiny instance, for CI."""
-    from .data import generate_synthetic_city as gen
-
-    spec = SyntheticSpec(
-        n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
-        scale_range=(8.0, 20.0),
-    )
-    city = gen(spec, name="toy")
-    mc = ModelConfig(
-        d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,
-        gcn_layers=1, d_r=12, d_h=4, d_ec=8, d_ex=8, psi_hidden=16,
-    )
-    windows = make_windows(city, 4, 4)
-    model = Model(mc, seed=config["seeds"][0])
-    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
-    rng = np.random.default_rng(config["seeds"][0])
-    for _, var in model.store.items():
-        var.value = rng.normal(0.0, 0.3, size=var.value.shape)
-    contexts = city.contexts()
-    bank = build_bank(windows[:2], [0, 1, 2], contexts, model.encode_entries, model.encoder_version())
-    inst = windows[3]
-    tc = TrainConfig(k=2, lambda_ret=0.2, temperature=0.1)
-
-    from .training import instance_loss
+    model, losses = toy_objective(config["seeds"][0])
 
     def loss():
-        total, _, _ = instance_loss(model, inst, contexts, [0, 1, 2, 3], [1], bank, tc)
-        return total
+        return losses()[0]
 
     report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
     print(report.summary())

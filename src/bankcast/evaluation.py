@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .data import (
     CityDataset,
     ForecastInstance,
@@ -24,7 +25,7 @@ from .data import (
     split_windows,
 )
 from .errors import DataError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, region_major
 from .retrieval import MemoryBank
 from .training import TrainConfig, TrainResult, train
 
@@ -137,33 +138,63 @@ def predict_city(
     train_config: TrainConfig,
     collect_priors: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Raw predictions/targets of shape (n_instances, N, H) over the full region graph."""
+    """Raw predictions/targets of shape (n_instances, N, H) over the full region graph.
+
+    Forwards `train_config.batch_size` consecutive instances at a time,
+    without a tape, in chunks taken from index 0 as `validation_metrics`
+    takes them. A forecast's last bits can depend on how many rows its chunk
+    stacks, so fixed chunks make a prefix of whole chunks reproduce the first
+    forecasts of a longer run bit for bit. With `collect_priors`, extras hold
+    the mean L2 between each retrieving region's prior and its true future,
+    and the MAE of the backbone forecast (`y_tilde`, from the same forward)
+    over the masked and over the observed regions.
+    """
     contexts = city.contexts()
-    preds, targets = [], []
-    prior_l2_sum, prior_count = 0.0, 0
-    for inst in instances:
-        masked = masked_view(inst, masked_regions)
-        res = model.forward(
-            contexts,
-            masked.history,
-            masked.mask,
-            masked.hour,
-            bank=bank,
-            k=train_config.k,
-            temperature=train_config.temperature,
-        )
-        preds.append(model.denormalize(res.y_hat.value))
-        targets.append(inst.future.T)
-        if collect_priors and res.rows is not None:
-            for i, row in enumerate(res.rows):
-                if row.valid:
-                    prior_l2_sum += float(np.linalg.norm(row.prior - inst.future[:, i]))
-                    prior_count += 1
+    preds = np.empty((len(instances), city.n_regions, model.config.horizon))
+    backbone = np.empty_like(preds) if collect_priors else None
+    prior_l2 = []
+    with ad.no_grad():
+        for start in range(0, len(instances), train_config.batch_size):
+            chunk = instances[start : start + train_config.batch_size]
+            views = [masked_view(inst, masked_regions) for inst in chunk]
+            res = model.forward_batch(
+                contexts,
+                np.stack([v.history for v in views]),
+                np.stack([v.mask for v in views]),
+                [v.hour for v in views],
+                bank=bank,
+                k=train_config.k,
+                temperature=train_config.temperature,
+            )
+            out = slice(start, start + len(chunk))
+            preds[out] = _instance_major(model.denormalize(res.y_hat.value), len(chunk))
+            if collect_priors:
+                backbone[out] = _instance_major(model.denormalize(res.y_tilde.value), len(chunk))
+            if collect_priors and res.prior is not None:
+                # the fused prior, back on the raw scale: each retrieving
+                # row's weights over its selected entries' stored futures
+                rows = np.flatnonzero(res.valid[:, 0])
+                prior = model.denormalize(res.prior.value[rows])
+                futures = region_major(np.stack([inst.future for inst in chunk]))[rows]
+                prior_l2.append(np.linalg.norm(prior - futures, axis=1))
+            del res  # its graph: freed before the next chunk's forward
+    targets = np.stack([inst.future.T for inst in instances])
     extras = {}
     if collect_priors:
-        extras["prior_future_l2"] = prior_l2_sum / prior_count if prior_count else None
-        extras["prior_count"] = prior_count
-    return np.stack(preds), np.stack(targets), extras
+        l2 = np.concatenate(prior_l2) if prior_l2 else np.empty(0)
+        extras["prior_future_l2"] = float(l2.mean()) if l2.size else None
+        extras["prior_count"] = int(l2.size)
+        masked = list(masked_regions)
+        observed = [i for i in range(city.n_regions) if i not in masked]
+        for name, regions in (("masked", masked), ("observed", observed)):
+            mae = metrics(backbone[:, regions], targets[:, regions]).mae if regions else None
+            extras[f"backbone_{name}_mae"] = mae
+    return preds, targets, extras
+
+
+def _instance_major(rows: np.ndarray, n_inst: int) -> np.ndarray:
+    """(n·B, H) region-major rows -> (B, n, H)."""
+    return rows.reshape(-1, n_inst, rows.shape[1]).transpose(1, 0, 2)
 
 
 def split_metrics(
@@ -175,6 +206,20 @@ def split_metrics(
     obs = metrics(preds[:, observed], targets[:, observed])
     per_region = {i: metrics(preds[:, i], targets[:, i]) for i in range(n_regions)}
     return overall, cold, obs, per_region
+
+
+def _fusion_gain(extras: dict, cold: Metrics, observed: Metrics) -> dict:
+    """Backbone-only MAE minus fused MAE, on the cold-start and the observed
+    regions, both from the same forward: how much error the retrieval
+    fusion removed within this run (negative when it added error)."""
+    pairs = (
+        ("coldstart", extras["backbone_masked_mae"], cold),
+        ("observed", extras["backbone_observed_mae"], observed),
+    )
+    return {
+        f"fusion_gain_{name}_mae": None if backbone is None else backbone - fused.mae
+        for name, backbone, fused in pairs
+    }
 
 
 def run_coldstart(
@@ -213,6 +258,7 @@ def run_coldstart(
         per_region=per_region,
         extras={
             **extras,
+            **_fusion_gain(extras, cold, obs),
             "best_epoch": run.train_result.best_epoch,
             "best_val_mae": run.train_result.best_val_mae,
             "retrieval_enabled": run.model.config.retrieval_enabled,
@@ -272,6 +318,7 @@ def run_transfer(
         per_region=per_region,
         extras={
             **extras,
+            **_fusion_gain(extras, cold, obs),
             "source_city": source_city.name,
             "target_city": target_city.name,
             "source_holdout": run.holdout,

@@ -60,6 +60,12 @@ class ModelConfig:
     stop_key_grad: bool = False
 
 
+def region_major(per_instance: np.ndarray) -> np.ndarray:
+    """(B, H, n) per-instance columns -> (n·B, H) rows, row i·B + b being
+    region i of instance b: the row order of `Model.forward_batch`."""
+    return per_instance.transpose(2, 0, 1).reshape(-1, per_instance.shape[1])
+
+
 @dataclass
 class ForwardResult:
     """One row per (region, instance), region-major; see `Model.forward_batch`."""
@@ -71,6 +77,7 @@ class ForwardResult:
     valid: np.ndarray  # (rows, 1) 0/1 retrieval-validity flags
     selected: list[np.ndarray] | None = None  # per row, its top-K bank entry indices
     weights: Sequence[np.ndarray] | None = None  # per row, the softmax weights of those entries
+    prior: Var | None = None  # (rows, H) fused prior, normalized space; zero rows without candidates
     rows: list[RetrievalRow] | None = None  # per-region retrieval diagnostics (`forward` only)
 
 
@@ -115,14 +122,25 @@ class Model:
     def encode_entries(
         self, contexts: np.ndarray, histories_raw: np.ndarray, hours: np.ndarray
     ) -> np.ndarray:
-        """Key embeddings for bank entries (true histories, normalized)."""
-        out = encode_retrieval(
-            ad.constant(contexts),
-            ad.constant(self.normalize(histories_raw)),
-            hours,
-            self.retriever,
-        )
-        return out.value
+        """Key embeddings for bank entries (true histories, normalized).
+
+        Encodes one hour's entries at a time and without a tape, so the peak
+        memory is one hour bucket's intermediates. Keys come back in the
+        given row order; on the 14,400- and 57,600-entry banks each matched
+        a whole-bank encoding bit for bit.
+        """
+        hours = np.asarray(hours)
+        keys = np.empty((len(hours), self.config.d_r))
+        with ad.no_grad():
+            for hour in np.unique(hours):
+                rows = np.flatnonzero(hours == hour)
+                keys[rows] = encode_retrieval(
+                    ad.constant(contexts[rows]),
+                    ad.constant(self.normalize(histories_raw[rows])),
+                    hours[rows],
+                    self.retriever,
+                ).value
+        return keys
 
     def refresh_bank(self, bank: MemoryBank) -> None:
         bank.refresh_keys(self.encode_entries, self.encoder_version())
@@ -257,7 +275,7 @@ class Model:
             l_ret = alignment_loss(ad.take_rows(queries, with_cand), keys_live, row_weight[:, None])
         return ForwardResult(
             y_hat=y_hat, y_tilde=y_tilde, queries=queries, l_ret=l_ret, valid=valid,
-            selected=selected, weights=weights,
+            selected=selected, weights=weights, prior=prior,
         )
 
     def _dense_priors(

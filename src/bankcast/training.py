@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Var
 from .data import CityDataset, ForecastInstance, masked_view
 from .errors import DataError, DivergenceError
-from .model import ForwardResult, Model
+from .model import ForwardResult, Model, region_major
 from .retrieval import MemoryBank, build_bank
 
 LOG_COLUMNS = (
@@ -166,11 +166,6 @@ def _forward_views(
     )
 
 
-def _region_major(futures: np.ndarray) -> np.ndarray:
-    """(B, H, n) -> (n·B, H), row i·B + b being region i of instance b."""
-    return futures.transpose(2, 0, 1).reshape(-1, futures.shape[1])
-
-
 def batch_loss(
     model: Model,
     instances: list[ForecastInstance],
@@ -203,7 +198,7 @@ def batch_loss(
             [i for i, rid in enumerate(observable) if rid not in inactive_set], dtype=np.intp
         )
     rows = (supervise[:, None] * len(instances) + np.arange(len(instances))).reshape(-1)
-    l_pred = masked_l1(res.y_hat, model.normalize(_region_major(futures_raw)), rows)
+    l_pred = masked_l1(res.y_hat, model.normalize(region_major(futures_raw)), rows)
     total = combine_losses(l_pred, res.l_ret, config.lambda_ret)
     return total, l_pred, res.l_ret
 
@@ -231,7 +226,7 @@ def validation_metrics(
     val_inactive: list[int] | None = None,
 ) -> tuple[float, float]:
     """Raw-scale MAE/RMSE over observable regions, forwarding `batch_size`
-    instances at a time.
+    instances at a time without a tape.
 
     When `val_inactive` is given, those regions' histories are zero-masked so
     the score (and therefore checkpoint selection) rewards cold-start skill,
@@ -239,16 +234,17 @@ def validation_metrics(
     """
     obs = np.asarray(observable)
     abs_sum, sq_sum, count = 0.0, 0.0, 0
-    for start in range(0, len(val_instances), config.batch_size):
-        chunk = val_instances[start : start + config.batch_size]
-        views = [masked_view(inst, val_inactive) if val_inactive else inst for inst in chunk]
-        res = _forward_views(model, views, contexts, obs, bank, config)
-        err = model.denormalize(res.y_hat.value) - _region_major(
-            np.stack([inst.future[:, obs] for inst in chunk])
-        )
-        abs_sum += float(np.abs(err).sum())
-        sq_sum += float((err * err).sum())
-        count += err.size
+    with ad.no_grad():
+        for start in range(0, len(val_instances), config.batch_size):
+            chunk = val_instances[start : start + config.batch_size]
+            views = [masked_view(inst, val_inactive) if val_inactive else inst for inst in chunk]
+            res = _forward_views(model, views, contexts, obs, bank, config)
+            err = model.denormalize(res.y_hat.value) - region_major(
+                np.stack([inst.future[:, obs] for inst in chunk])
+            )
+            abs_sum += float(np.abs(err).sum())
+            sq_sum += float((err * err).sum())
+            count += err.size
     return abs_sum / count, float(np.sqrt(sq_sum / count))
 
 

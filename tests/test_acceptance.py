@@ -21,10 +21,11 @@ from bankcast.data import (
     split_windows,
 )
 from bankcast.evaluation import predict_city, run_coldstart, run_transfer
-from bankcast.gradcheck import grad_check
+from bankcast.autodiff import backward
+from bankcast.gradcheck import grad_check, toy_objective
 from bankcast.model import Model, ModelConfig
-from bankcast.retrieval import MemoryBank, bank_entries, build_bank, retrieve
-from bankcast.training import TrainConfig, instance_loss
+from bankcast.retrieval import MemoryBank, bank_entries, retrieve
+from bankcast.training import TrainConfig
 
 SEEDS = (1, 2, 3)
 
@@ -54,32 +55,19 @@ def report_line(criterion: str, passed: bool, detail: str) -> None:
 
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
-    spec = SyntheticSpec(
-        n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
-        scale_range=(8.0, 20.0),
-    )
-    city = generate_synthetic_city(spec, name="toy")
-    cfg = ModelConfig(
-        d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,
-        gcn_layers=1, d_r=12, d_h=4, d_ec=8, d_ex=8, psi_hidden=16,
-    )
-    model = Model(cfg, seed=1)
-    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
-    rng = np.random.default_rng(7)
-    for _, var in model.store.items():
-        var.value = rng.normal(0.0, 0.3, size=var.value.shape)  # every path live
-    windows = make_windows(city, 4, 4)
-    contexts = city.contexts()
-    # 6-entry bank: 2 train windows x 3 observable regions; keys fixed for the check
-    bank = build_bank(windows[:2], [0, 1, 2], contexts, model.encode_entries, model.encoder_version())
-    inst = windows[3]
-    tc = TrainConfig(k=2, lambda_ret=0.2, temperature=0.1)
+    model, losses = toy_objective(7)
+    # the checked instance retrieves, so retrieval, fusion and the alignment
+    # loss are on the checked graph, not trivially zero
+    total, _, l_ret = losses()
+    assert l_ret is not None
+    model.store.zero_grad()
+    backward(total)
+    grads = model.store.grads()
+    for part in ("retriever.", "fusion."):
+        assert any(np.any(g != 0) for name, g in grads.items() if name.startswith(part)), part
+    model.store.zero_grad()
 
-    def loss():
-        total, _, _ = instance_loss(model, inst, contexts, [0, 1, 2, 3], [1], bank, tc)
-        return total
-
-    report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
+    report = grad_check(lambda: losses()[0], model.store, eps=1e-5, tol=1e-4)
     elapsed = time.perf_counter() - t0
     ok = report.passed and elapsed < 60.0
     report_line(

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,89 @@ def test_take_rows_backward_matches_add_at(idx):
     expected = np.zeros((5, 3))
     np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
     assert np.array_equal(a.grad, expected)
+
+
+# every op on inputs whose values make each branch of it matter (negative
+# entries for relu/absolute, repeated rows for take_rows, ...)
+NO_GRAD_CASES = {
+    "add": lambda a, b: ad.add(a, ad.take_rows(b, [0])),
+    "sub": lambda a, b: ad.sub(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "matmul": lambda a, b: ad.matmul(a, ad.transpose(b)),
+    "linear": lambda a, b: ad.linear(a, b, ad.constant([[0.5, -1.0, 2.0]])),
+    "transpose": lambda a, b: ad.transpose(a),
+    "concat": lambda a, b: ad.concat([a, b, a], axis=1),
+    "reshape": lambda a, b: ad.reshape(a, (4, 3)),
+    "take_rows": lambda a, b: ad.take_rows(a, [2, 0, 2]),
+    "relu": lambda a, b: ad.relu(a),
+    "gelu": lambda a, b: ad.gelu(a),
+    "sigmoid": lambda a, b: ad.sigmoid(a),
+    "absolute": lambda a, b: ad.absolute(a),
+    "reduce_sum": lambda a, b: ad.reduce_sum(a, axis=0, keepdims=True),
+    "mean": lambda a, b: ad.mean(a, axis=1),
+    "row_softmax": lambda a, b: ad.row_softmax(a, 0.3),
+    "l2_normalize_rows": lambda a, b: ad.l2_normalize_rows(a),
+}
+
+
+def no_grad_inputs():
+    rng = np.random.default_rng(11)
+    return ad.Var(rng.normal(size=(3, 4))), ad.Var(rng.normal(size=(3, 4)))
+
+
+def test_no_grad_cases_cover_every_op():
+    ops = {
+        name for name, fn in vars(ad).items()
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
+    }
+    assert ops - {"backward", "constant", "no_grad"} == set(NO_GRAD_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(NO_GRAD_CASES))
+def test_no_grad_values_are_the_taped_values(name):
+    a, b = no_grad_inputs()
+    taped = NO_GRAD_CASES[name](a, b)
+    with ad.no_grad():
+        untaped = NO_GRAD_CASES[name](a, b)
+    assert taped._backward is not None
+    assert untaped._backward is None
+    assert untaped.value.dtype == taped.value.dtype and untaped.value.shape == taped.value.shape
+    assert untaped.value.tobytes() == taped.value.tobytes()
+
+
+def test_no_grad_graph_reaches_no_leaf():
+    store = ad.ParamStore()
+    rng = np.random.default_rng(12)
+    w = store.register("w", rng.normal(size=(2, 4)))
+    b = store.register("b", rng.normal(size=(1, 2)))
+    x = ad.constant(rng.normal(size=(3, 4)))
+    with ad.no_grad():
+        loss = ad.mean(ad.absolute(ad.gelu(ad.linear(ad.relu(x), w, b))))
+    seen, stack = set(), [loss]
+    while stack:  # no node of the graph carries a backward closure
+        node = stack.pop()
+        assert node._backward is None
+        seen.add(id(node))
+        stack += [p for p in node._parents if id(p) not in seen]
+    ad.backward(loss)
+    assert store["w"].grad is None and store["b"].grad is None
+
+
+def test_no_grad_restores_the_mode_after_an_exception_and_nests():
+    a, _ = no_grad_inputs()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    assert ad.relu(a)._backward is not None
+    with ad.no_grad():
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inner")
+        assert ad.relu(a)._backward is None  # the outer context still holds
+        with ad.no_grad():
+            assert ad.relu(a)._backward is None
+        assert ad.relu(a)._backward is None
+    assert ad.relu(a)._backward is not None
 
 
 def test_diamond_graph_accumulates():

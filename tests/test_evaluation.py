@@ -8,15 +8,18 @@ from bankcast.data import (
     make_windows,
     split_windows,
 )
+from bankcast.data import masked_view
 from bankcast.errors import DataError
 from bankcast.evaluation import (
     choose_holdout,
     metrics,
+    predict_city,
     run_coldstart,
     run_transfer,
     split_metrics,
 )
-from bankcast.model import ModelConfig
+from bankcast.model import Model, ModelConfig
+from bankcast.retrieval import build_bank
 from bankcast.training import TrainConfig
 
 
@@ -127,6 +130,10 @@ class TestColdstartProtocol:
         assert set(report.per_region) == set(range(city.n_regions))
         assert preds.shape == targets.shape
         assert report.extras["prior_future_l2"] is not None
+        # the within-run attribution: backbone-only minus fused MAE, same forward
+        extras = report.extras
+        assert extras["fusion_gain_coldstart_mae"] == extras["backbone_masked_mae"] - report.coldstart_only.mae
+        assert extras["fusion_gain_observed_mae"] == extras["backbone_observed_mae"] - report.observed_only.mae
 
     def test_retrieval_disabled_equals_graph_only_everywhere(self):
         # beta frozen at 0 and no bank: the two ablation framings coincide
@@ -136,6 +143,7 @@ class TestColdstartProtocol:
         r2, run2, p2, t2 = run_coldstart(city, cfg, small_model_config(False), n_holdout=3)
         assert np.array_equal(p1, p2)
         assert r1.overall.mae == r2.overall.mae
+        assert r1.extras["fusion_gain_coldstart_mae"] == r1.extras["fusion_gain_observed_mae"] == 0.0
 
     def test_r2_beats_train_mean_predictor(self):
         report, run, preds, targets, city = self.run(epochs=12, learning_rate=3e-3)
@@ -162,6 +170,96 @@ class TestColdstartProtocol:
         assert np.array_equal(preds, preds2)
 
 
+def serving_setup(retrieval=True, bank_windows=None, bank_regions=None):
+    """An untrained model whose fusion is switched on, a bank, and 21 test windows."""
+    city = small_city(seed=4)
+    train, _, test = split_windows(make_windows(city))
+    model = Model(small_model_config(retrieval), seed=3)
+    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+    rng = np.random.default_rng(5)
+    model.fusion.scale.value = np.full((1, 1), 0.8)
+    model.fusion.gate.value = rng.normal(0.0, 0.3, size=model.fusion.gate.value.shape)
+    bank = None
+    if retrieval:
+        bank = build_bank(
+            train[: bank_windows or len(train)], bank_regions or list(range(10)), city.contexts(),
+            model.encode_entries, model.encoder_version(),
+        )
+    return model, city, test[:21], bank
+
+
+SERVING_CASES = {
+    "retrieval": dict(),
+    "graph-only": dict(retrieval=False),
+    # one region's entries from 7 windows: 7 hour buckets of one entry (fewer
+    # than k = 3) and 17 empty ones
+    "ragged": dict(bank_windows=7, bank_regions=[0]),
+}
+
+
+class TestPredictCity:
+    masked = [1, 6, 11]
+
+    @pytest.mark.parametrize("case", list(SERVING_CASES))
+    def test_matches_per_instance_forward(self, case):
+        model, city, instances, bank = serving_setup(**SERVING_CASES[case])
+        tc = quick_train_config(batch_size=8)  # 21 windows: chunks of 8, 8 and 5
+        preds, targets, extras = predict_city(
+            model, city, instances, self.masked, bank, tc, collect_priors=True
+        )
+        assert preds.shape == targets.shape == (21, city.n_regions, 24)
+        l2 = []
+        for i, inst in enumerate(instances):
+            view = masked_view(inst, self.masked)
+            res = model.forward(
+                city.contexts(), view.history, view.mask, view.hour, bank=bank, k=tc.k,
+                temperature=tc.temperature,
+            )
+            want = model.denormalize(res.y_hat.value)
+            assert np.abs(preds[i] - want).max() <= 1e-12 * np.abs(want).max(), i
+            assert np.array_equal(targets[i], inst.future.T)
+            l2 += [np.linalg.norm(r.prior - inst.future[:, j]) for j, r in enumerate(res.rows or []) if r.valid]
+        assert extras["prior_count"] == len(l2)
+        if l2:
+            assert extras["prior_future_l2"] == pytest.approx(np.mean(l2), rel=1e-12)
+        else:
+            assert extras["prior_future_l2"] is None
+        if case == "retrieval":
+            assert len(l2) == 21 * city.n_regions
+        if case == "ragged":
+            assert 0 < len(l2) < 21 * city.n_regions
+
+    def test_prefix_of_whole_chunks_reproduces_the_full_run(self):
+        model, city, instances, bank = serving_setup()
+        tc = quick_train_config(batch_size=8)
+        full, _, _ = predict_city(model, city, instances, self.masked, bank, tc)
+        prefix, _, _ = predict_city(model, city, instances[:16], self.masked, bank, tc)
+        assert prefix.tobytes() == full[:16].tobytes()
+
+    @pytest.mark.parametrize("retrieval", [True, False])
+    def test_backbone_mae_extras(self, retrieval):
+        model, city, instances, bank = serving_setup(retrieval)
+        tc = quick_train_config()
+        preds, targets, extras = predict_city(
+            model, city, instances, self.masked, bank, tc, collect_priors=True
+        )
+        observed = [i for i in range(city.n_regions) if i not in self.masked]
+        backbone = []
+        for inst in instances:
+            view = masked_view(inst, self.masked)
+            res = model.forward(city.contexts(), view.history, view.mask, view.hour)
+            backbone.append(model.denormalize(res.y_tilde.value))
+        backbone = np.stack(backbone)
+        for name, regions in (("masked", self.masked), ("observed", observed)):
+            want = np.abs(backbone[:, regions] - targets[:, regions]).mean()
+            assert extras[f"backbone_{name}_mae"] == pytest.approx(want, rel=1e-12)
+            fused = metrics(preds[:, regions], targets[:, regions]).mae
+            if retrieval:
+                assert fused != extras[f"backbone_{name}_mae"]  # the fusion moved the forecast
+            else:
+                assert fused == extras[f"backbone_{name}_mae"]
+
+
 class TestTransferProtocol:
     def pair(self):
         spec = SyntheticSpec(
@@ -180,6 +278,9 @@ class TestTransferProtocol:
         assert all(e.anchor in valid_anchors for e in run.bank.entries)
         assert report.extras["source_city"] == "source"
         assert report.extras["target_city"] == "target"
+        assert report.extras["fusion_gain_coldstart_mae"] == (
+            report.extras["backbone_masked_mae"] - report.coldstart_only.mae
+        )
 
     def test_degenerate_transfer_matches_coldstart(self):
         source, _ = self.pair()

@@ -217,6 +217,21 @@ class TestEncodeRetrieval:
             )
 
 
+    def test_entry_keys_match_one_taped_encoding_in_input_order(self):
+        # encode_entries groups the rows by hour; the keys come back in the
+        # given (unsorted) order and match one taped pass over all rows
+        cfg = tiny_config()
+        model = Model(cfg, seed=6)
+        model.set_norm(2.0, 1.5)
+        e = make_entries(60, seed=7, hours=np.random.default_rng(8).integers(0, 5, size=60).tolist())
+        keys = model.encode_entries(e.context, e.history, e.hour)
+        taped = encode_retrieval(
+            ad.constant(e.context), ad.constant(model.normalize(e.history)), e.hour, model.retriever
+        ).value
+        assert keys.shape == taped.shape
+        assert np.abs(keys - taped).max() <= 1e-13
+
+
 class TestRetrieve:
     def test_hand_evaluated_two_entry_bank(self):
         entries = make_entries(2, hours=[9, 9])
