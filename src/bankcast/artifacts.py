@@ -1,0 +1,41 @@
+"""Binary artifact files: one JSON header line, then one array as an .npy body.
+
+Bank and checkpoint files share this layout. The header's `format` names the
+kind of file, and the body is written and read without pickle, so loading a
+file never runs code from it.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DataError
+
+
+def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
+    with open(path, "wb") as f:
+        f.write((json.dumps(header, sort_keys=True) + "\n").encode())
+        np.save(f, body, allow_pickle=False)
+
+
+def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarray]:
+    """The header and body of a `fmt` file (`what` names it in errors).
+
+    Raises DataError when the file is missing, when its header is not a JSON
+    object of that format, or when its body is not one whole .npy array.
+    """
+    try:
+        with open(path, "rb") as f:
+            header = json.loads(f.readline())
+            if not isinstance(header, dict):
+                raise DataError(f"{what} file {path} header is not a JSON object")
+            if header.get("format") != fmt:
+                raise DataError(f"unrecognized {what} format {header.get('format')!r} in {path}")
+            return header, np.lib.format.read_array(f, allow_pickle=False)
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}")
+    except ValueError as e:
+        raise DataError(f"{what} file {path} is malformed: {type(e).__name__}: {e}")

@@ -56,7 +56,7 @@ DEFAULT_CONFIG: dict = {
     "paths": {
         "dataset": "runs/source.json",
         "dataset_target": "runs/target.json",
-        "checkpoint": "runs/checkpoint.json",
+        "checkpoint": "runs/checkpoint.bin",
         "bank": "runs/bank.bin",
         "report_dir": "runs",
     },

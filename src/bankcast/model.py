@@ -11,7 +11,6 @@ its selected entries so both encoder sides receive gradients.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import read_artifact, write_artifact
 from .autodiff import ParamStore, Var
 from .backbone import (
     BackboneParams,
@@ -28,7 +28,7 @@ from .backbone import (
     message_pass,
     project_context,
 )
-from .errors import DataError
+from .errors import DataError, VersionMismatchError
 from .fusion import FusionParams, fuse
 from .retrieval import (
     MemoryBank,
@@ -321,44 +321,48 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints: one JSON header line (config, norm, holdout, the (name, shape)
+# list of parameters and the SHA-256 of their values), then every parameter
+# concatenated into one 1-D float64 array as one .npy body.
+
+CHECKPOINT_FORMAT = "bankcast-checkpoint-v2"
 
 
 def save_checkpoint(model: Model, path: str | Path, config_hash: str | None = None) -> None:
-    doc = {
-        "format": "bankcast-checkpoint-v1",
+    names = model.store.names()
+    body = np.concatenate([model.store[name].value.reshape(-1) for name in names])
+    header = {
+        "format": CHECKPOINT_FORMAT,
         "model_config": asdict(model.config),
         "norm": {"mean": model.norm_mean, "std": model.norm_std},
-        "params": {
-            name: {"shape": list(var.value.shape), "values": var.value.reshape(-1).tolist()}
-            for name, var in model.store.items()
-        },
         "encoder_version": model.encoder_version(),
         "holdout": model.holdout,
+        "params": [[name, list(model.store[name].value.shape)] for name in names],
+        "params_checksum": hashlib.sha256(body.tobytes()).hexdigest(),
     }
     if config_hash is not None:
-        doc["config_hash"] = config_hash
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+        header["config_hash"] = config_hash
+    write_artifact(path, header, body)
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    header, body = read_artifact(path, CHECKPOINT_FORMAT, "checkpoint")
+    if body.dtype != np.float64 or body.ndim != 1:
+        raise DataError(f"checkpoint file {path} body is a {body.dtype} array of rank {body.ndim}")
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"checkpoint file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise DataError(f"checkpoint file {path} is not valid JSON: {e}")
-    if not isinstance(doc, dict) or doc.get("format") != "bankcast-checkpoint-v1":
-        raise DataError(f"unrecognized checkpoint format in {path}")
-    try:
-        model = Model(ModelConfig(**doc["model_config"]))
-        model.set_norm(doc["norm"]["mean"], doc["norm"]["std"])
-        state = {
-            name: np.array(p["values"], dtype=np.float64).reshape(p["shape"])
-            for name, p in doc["params"].items()
-        }
-        model.store.load_state_dict(state)
-        model.holdout = doc.get("holdout")
+        model = Model(ModelConfig(**header["model_config"]))
+        model.set_norm(header["norm"]["mean"], header["norm"]["std"])
+        params = header["params"]
+        offsets = np.cumsum([0] + [int(np.prod(shape)) for _, shape in params]).tolist()
+        if len({name for name, _ in params}) != len(params) or offsets[-1] != body.size:
+            raise ValueError(f"the body's {body.size} values do not fit the header's parameter list")
+        if hashlib.sha256(body.tobytes()).hexdigest() != header.get("params_checksum"):
+            raise VersionMismatchError(f"checkpoint file {path} parameters do not match their checksum")
+        model.store.load_state_dict({
+            name: body[lo:hi].reshape(shape)
+            for (name, shape), lo, hi in zip(params, offsets[:-1], offsets[1:])
+        })
+        model.holdout = header.get("holdout")
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"checkpoint file {path} is malformed: {type(e).__name__}: {e}")
     return model

@@ -20,14 +20,15 @@ gradients can reach the key-side encoder.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import numerics
+from .artifacts import read_artifact, write_artifact
 from .autodiff import ParamStore, Var
 from .backbone import glorot
 from .data import ForecastInstance
@@ -148,7 +149,8 @@ class MemoryBank:
             raise DataError(
                 f"bank needs one key row per entry ({len(self.entries)}), got shape {keys.shape}"
             )
-        norms = np.linalg.norm(keys, axis=1)
+        # row norms without a key-sized temporary
+        norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise DataError("bank keys must be unit-norm")
         self.keys = keys
@@ -156,6 +158,34 @@ class MemoryBank:
 
     def entry_checksum(self) -> str:
         return _records_checksum(self.entries)
+
+    @cached_property
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The bank's distinct anchors and region ids, and its entries ordered
+        by (hour, pair code) with their codes: a pair's code is its anchor's
+        rank times the number of distinct region ids plus its region id's rank,
+        so each hour's slice of the codes is sorted."""
+        anchor_values, anchor_rank = np.unique(self.anchors, return_inverse=True)
+        rid_values, rid_rank = np.unique(self.region_ids, return_inverse=True)
+        codes = anchor_rank * len(rid_values) + rid_rank
+        order = np.lexsort((codes, self.hours))
+        return anchor_values, rid_values, order, codes[order]
+
+    def find_pairs(self, bucket: slice, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every entry of one hour's `bucket` that holds one of the (m, 2)
+        (anchor, region id) `pairs`: (pair index, entry index) arrays, one
+        item per match, so a pair stored twice matches twice."""
+        anchor_values, rid_values, order, codes = self._pair_index
+        a = np.searchsorted(anchor_values, pairs[:, 0]).clip(max=len(anchor_values) - 1)
+        r = np.searchsorted(rid_values, pairs[:, 1]).clip(max=len(rid_values) - 1)
+        known = (anchor_values[a] == pairs[:, 0]) & (rid_values[r] == pairs[:, 1])
+        # -1 is no entry's code
+        query = np.where(known, a * len(rid_values) + r, -1)
+        lo = np.searchsorted(codes[bucket], query, "left")
+        counts = np.searchsorted(codes[bucket], query, "right") - lo
+        which = np.repeat(np.arange(len(pairs)), counts)
+        pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return which, order[bucket][pos]
 
 
 def _records_checksum(entries: np.ndarray) -> str:
@@ -216,10 +246,10 @@ def select_top_batch(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Top-k entry indices and scores for each query row of one hour.
 
-    `excludes[i]`, an (anchor, region id) pair or None, drops that entry from
-    row i's candidates; given, it has one item per query row. Ties go to the
-    smaller entry index; a row is shorter than k when its hour bucket, after
-    exclusion, holds fewer entries.
+    `excludes[i]`, an (anchor, region id) pair or None, drops every entry
+    holding that pair from row i's candidates; given, it has one item per
+    query row. Ties go to the smaller entry index; a row is shorter than k
+    when its hour bucket, after exclusion, holds fewer entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -235,9 +265,8 @@ def select_top_batch(
     scores = queries @ bank.keys[bucket].T
     rows = [i for i, ex in enumerate(excludes or []) if ex is not None]
     if rows:
-        ex = np.array([excludes[i] for i in rows], dtype=np.int64)
-        hit = (bank.anchors[bucket] == ex[:, :1]) & (bank.region_ids[bucket] == ex[:, 1:])
-        scores[rows] = np.where(hit, -np.inf, scores[rows])
+        which, entry = bank.find_pairs(bucket, np.array([excludes[i] for i in rows], dtype=np.int64))
+        scores[np.asarray(rows)[which], entry - cand[0]] = -np.inf
     # every candidate scoring at least its row's k-th largest score survives;
     # sorting the survivors by (row, -score, entry index) ranks each row with
     # the smaller-index tie rule, then each row keeps its first k finite ones
@@ -320,24 +349,11 @@ def save_bank(bank: MemoryBank, path: str | Path, config_hash: str | None = None
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
-    with open(path, "wb") as f:
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        np.save(f, bank.entries, allow_pickle=False)
+    write_artifact(path, header, bank.entries)
 
 
 def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> tuple[MemoryBank, dict]:
-    try:
-        with open(path, "rb") as f:
-            header = json.loads(f.readline())
-            if not isinstance(header, dict):
-                raise DataError(f"bank file {path} header is not a JSON object")
-            if header.get("format") != BANK_FORMAT:
-                raise DataError(f"unrecognized bank format {header.get('format')!r} in {path}")
-            entries = np.lib.format.read_array(f, allow_pickle=False)
-    except FileNotFoundError:
-        raise DataError(f"bank file not found: {path}")
-    except ValueError as e:
-        raise DataError(f"bank file {path} is malformed: {type(e).__name__}: {e}")
+    header, entries = read_artifact(path, BANK_FORMAT, "bank")
     try:
         want = entry_dtype(*(entries.dtype[f].shape[0] for f in ("context", "history", "future")))
     except (KeyError, IndexError):

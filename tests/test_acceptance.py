@@ -323,7 +323,7 @@ def test_criterion_8_reproducibility(tmp_path):
         "paths": {
             "dataset": str(base / "source.json"),
             "dataset_target": str(base / "target.json"),
-            "checkpoint": str(base / "checkpoint.json"),
+            "checkpoint": str(base / "checkpoint.bin"),
             "bank": str(base / "bank.bin"),
             "report_dir": str(base / "runs"),
         },
@@ -347,7 +347,7 @@ def test_criterion_8_reproducibility(tmp_path):
         assert cli_main(["--config", str(cfg_path), "train"]) == 0
         assert cli_main(["--config", str(cfg_path), "eval"]) == 0
         report = (base / "runs" / "seed_1" / "report.json").read_bytes()
-        checkpoint = (base / "checkpoint.json").read_bytes()
+        checkpoint = (base / "checkpoint.bin").read_bytes()
         log_lines = (base / "runs" / "training_log.csv").read_text().splitlines()
         # the seconds column is wall-clock by definition; all other columns
         # must reproduce bit for bit

@@ -12,6 +12,7 @@ from bankcast import cli
 from bankcast.cli import main, resolve_config
 from bankcast.data import SyntheticSpec, generate_synthetic_city, save_city
 from bankcast.errors import ConfigError
+from bankcast.model import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 
 def fast_config(tmp_path: Path, protocol: str = "coldstart") -> Path:
@@ -23,7 +24,7 @@ def fast_config(tmp_path: Path, protocol: str = "coldstart") -> Path:
         "paths": {
             "dataset": str(tmp_path / "source.json"),
             "dataset_target": str(tmp_path / "target.json"),
-            "checkpoint": str(tmp_path / "checkpoint.json"),
+            "checkpoint": str(tmp_path / "checkpoint.bin"),
             "bank": str(tmp_path / "bank.bin"),
             "report_dir": str(tmp_path / "runs"),
         },
@@ -168,7 +169,7 @@ class TestTrain:
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
         assert run_cli("--config", str(p), "train") == 0
-        assert (tmp_path / "checkpoint.json").exists()
+        assert (tmp_path / "checkpoint.bin").exists()
         assert (tmp_path / "bank.bin").exists()
         log = (tmp_path / "runs" / "training_log.csv").read_text().splitlines()
         assert log[0].startswith("# config_hash=")
@@ -194,7 +195,7 @@ class TestEval:
         run_cli("--config", str(p), "generate")
         run_cli("--config", str(p), "train")
         assert run_cli("--config", str(p), "eval") == 0
-        _edit_bank(tmp_path / "bank.bin", body=_flip_float_byte)
+        _edit_raw(tmp_path / "bank.bin", body=_flip_float_byte)
         assert run_cli("--config", str(p), "eval") == 5
 
     def test_transfer_eval(self, tmp_path, capsys):
@@ -206,14 +207,8 @@ class TestEval:
         assert report["extras"]["source_city"] == "source"
 
 
-def _edit_json(path: Path, fn) -> None:
-    doc = json.loads(path.read_text())
-    fn(doc)
-    path.write_text(json.dumps(doc))
-
-
-def _edit_bank(path: Path, header=lambda h: h, body=lambda b: b) -> None:
-    """Rewrite a bank file's JSON header line and .npy body, as bytes."""
+def _edit_raw(path: Path, header=lambda h: h, body=lambda b: b) -> None:
+    """Rewrite a bank or checkpoint file's JSON header line and .npy body, as bytes."""
     head, rest = path.read_bytes().split(b"\n", 1)
     path.write_bytes(header(head) + b"\n" + body(rest))
 
@@ -235,7 +230,8 @@ def _drop_future(body: bytes) -> bytes:
 
 
 def _flip_float_byte(body: bytes) -> bytes:
-    # body[-8] is the lowest mantissa byte of the last entry's last future value
+    # body[-8] is the lowest mantissa byte of the body's last float64: the bank's
+    # last future value, or the checkpoint's last parameter value
     return body[:-8] + bytes([body[-8] ^ 1]) + body[-7:]
 
 
@@ -250,10 +246,57 @@ def _hour_out_of_range(path: Path) -> None:
     path.write_bytes(json.dumps(header).encode() + b"\n" + out.getvalue())
 
 
-def _grow_param(doc: dict) -> None:
-    p = doc["params"]["fusion.scale"]
-    p["values"].append(0.0)
-    p["shape"] = [len(p["values"])]
+def _read_ckpt(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's header and its parameters by name, split from the body."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    header, flat = json.loads(head), np.load(io.BytesIO(body))
+    sizes = [int(np.prod(shape)) for _, shape in header["params"]]
+    offsets = np.cumsum([0] + sizes)
+    params = {
+        name: flat[lo:hi].reshape(shape)
+        for (name, shape), lo, hi in zip(header["params"], offsets[:-1], offsets[1:])
+    }
+    return header, params
+
+
+def _edit_ckpt(edit):
+    """A corruption that applies edit(header, params) and writes the result
+    back with a parameter list, body and checksum that agree, so that only
+    the edit itself is wrong."""
+
+    def corrupt(path: Path) -> None:
+        header, params = _read_ckpt(path)
+        edit(header, params)
+        flat = np.concatenate([v.reshape(-1) for v in params.values()])
+        header["params"] = [[name, list(v.shape)] for name, v in params.items()]
+        header["params_checksum"] = hashlib.sha256(flat.tobytes()).hexdigest()
+        out = io.BytesIO()
+        np.save(out, flat)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + out.getvalue())
+
+    return corrupt
+
+
+def _as_v1(path: Path) -> None:
+    """The checkpoint rewritten as a v1 file: one JSON document, values as decimal text."""
+    header, params = _read_ckpt(path)
+    doc = {k: v for k, v in header.items() if k not in ("params", "params_checksum")}
+    doc["format"] = "bankcast-checkpoint-v1"
+    doc["params"] = {
+        name: {"shape": list(v.shape), "values": v.reshape(-1).tolist()} for name, v in params.items()
+    }
+    path.write_text(json.dumps(doc, sort_keys=True))
+
+
+def _body_as(fn):
+    """A body transform that re-saves the stored array as fn(array)."""
+
+    def body(raw: bytes) -> bytes:
+        out = io.BytesIO()
+        np.save(out, fn(np.load(io.BytesIO(raw))))
+        return out.getvalue()
+
+    return body
 
 
 def _narrower_city(path: Path) -> None:
@@ -266,27 +309,36 @@ def case(id: str, artifact: str, corrupt, code: int):
 
 
 CORRUPTIONS = [
-    case("bank-header-not-json", "bank.bin", lambda p: _edit_bank(p, header=lambda _: b"not json"), 3),
-    case("bank-header-not-object", "bank.bin", lambda p: _edit_bank(p, header=lambda _: b"[1, 2]"), 3),
-    case("bank-header-v1", "bank.bin", lambda p: _edit_bank(p, header=_v1_header), 3),
-    case("bank-header-count", "bank.bin", lambda p: _edit_bank(p, header=_one_more_entry), 3),
-    case("bank-body-not-npy", "bank.bin", lambda p: _edit_bank(p, body=lambda _: b'{"region_id": 0}\n'), 3),
-    case("bank-body-missing", "bank.bin", lambda p: _edit_bank(p, body=lambda _: b""), 3),
-    case("bank-body-truncated", "bank.bin", lambda p: _edit_bank(p, body=lambda b: b[:-100]), 3),
-    case("bank-no-future-field", "bank.bin", lambda p: _edit_bank(p, body=_drop_future), 3),
-    case("bank-float-flipped", "bank.bin", lambda p: _edit_bank(p, body=_flip_float_byte), 5),
+    case("bank-header-not-json", "bank.bin", lambda p: _edit_raw(p, header=lambda _: b"not json"), 3),
+    case("bank-header-not-object", "bank.bin", lambda p: _edit_raw(p, header=lambda _: b"[1, 2]"), 3),
+    case("bank-header-v1", "bank.bin", lambda p: _edit_raw(p, header=_v1_header), 3),
+    case("bank-header-count", "bank.bin", lambda p: _edit_raw(p, header=_one_more_entry), 3),
+    case("bank-body-not-npy", "bank.bin", lambda p: _edit_raw(p, body=lambda _: b'{"region_id": 0}\n'), 3),
+    case("bank-body-missing", "bank.bin", lambda p: _edit_raw(p, body=lambda _: b""), 3),
+    case("bank-body-truncated", "bank.bin", lambda p: _edit_raw(p, body=lambda b: b[:-100]), 3),
+    case("bank-no-future-field", "bank.bin", lambda p: _edit_raw(p, body=_drop_future), 3),
+    case("bank-float-flipped", "bank.bin", lambda p: _edit_raw(p, body=_flip_float_byte), 5),
     case("bank-hour-out-of-range", "bank.bin", _hour_out_of_range, 3),
-    case("ckpt-missing-param", "checkpoint.json",
-         lambda p: _edit_json(p, lambda d: d["params"].pop("fusion.scale")), 3),
-    case("ckpt-missing-model-config", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("model_config")), 3),
-    case("ckpt-missing-norm", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("norm")), 3),
-    case("ckpt-unknown-config-field", "checkpoint.json",
-         lambda p: _edit_json(p, lambda d: d["model_config"].update(bogus=1)), 3),
-    case("ckpt-param-shape", "checkpoint.json", lambda p: _edit_json(p, _grow_param), 3),
-    case("ckpt-extra-param", "checkpoint.json",
-         lambda p: _edit_json(p, lambda d: d["params"].update(bogus={"shape": [1], "values": [0.0]})), 3),
-    case("ckpt-not-object", "checkpoint.json", lambda p: p.write_text("[]"), 3),
-    case("ckpt-no-holdout", "checkpoint.json", lambda p: _edit_json(p, lambda d: d.pop("holdout")), 5),
+    case("ckpt-missing-param", "checkpoint.bin", _edit_ckpt(lambda h, p: p.pop("fusion.scale")), 3),
+    case("ckpt-missing-model-config", "checkpoint.bin", _edit_ckpt(lambda h, p: h.pop("model_config")), 3),
+    case("ckpt-missing-norm", "checkpoint.bin", _edit_ckpt(lambda h, p: h.pop("norm")), 3),
+    case("ckpt-unknown-config-field", "checkpoint.bin",
+         _edit_ckpt(lambda h, p: h["model_config"].update(bogus=1)), 3),
+    case("ckpt-param-shape", "checkpoint.bin",
+         _edit_ckpt(lambda h, p: p.update({"fusion.scale": np.append(p["fusion.scale"], 0.0)})), 3),
+    case("ckpt-extra-param", "checkpoint.bin", _edit_ckpt(lambda h, p: p.update(bogus=np.zeros(1))), 3),
+    case("ckpt-not-object", "checkpoint.bin", lambda p: _edit_raw(p, header=lambda _: b"[1, 2]"), 3),
+    case("ckpt-no-holdout", "checkpoint.bin", _edit_ckpt(lambda h, p: h.pop("holdout")), 5),
+    case("ckpt-header-not-json", "checkpoint.bin", lambda p: _edit_raw(p, header=lambda _: b"not json"), 3),
+    case("ckpt-v1-json", "checkpoint.bin", _as_v1, 3),
+    case("ckpt-body-not-npy", "checkpoint.bin", lambda p: _edit_raw(p, body=lambda _: b'{"values": [0.0]}\n'), 3),
+    case("ckpt-body-truncated", "checkpoint.bin", lambda p: _edit_raw(p, body=lambda b: b[:-100]), 3),
+    case("ckpt-body-wrong-dtype", "checkpoint.bin",
+         lambda p: _edit_raw(p, body=_body_as(lambda a: a.astype(np.float32))), 3),
+    case("ckpt-body-rank-2", "checkpoint.bin", lambda p: _edit_raw(p, body=_body_as(lambda a: a[None])), 3),
+    case("ckpt-body-longer", "checkpoint.bin",
+         lambda p: _edit_raw(p, body=_body_as(lambda a: np.append(a, 0.0))), 3),
+    case("ckpt-float-flipped", "checkpoint.bin", lambda p: _edit_raw(p, body=_flip_float_byte), 5),
     case("dataset-not-object", "source.json", lambda p: p.write_text("[]"), 3),
     case("dataset-other-context-width", "source.json", _narrower_city, 5),
 ]
@@ -303,7 +355,7 @@ def trained_artifacts(tmp_path_factory):
 
 
 def copy_artifacts(src: Path, dst: Path) -> Path:
-    for name in ("source.json", "checkpoint.json", "bank.bin"):
+    for name in ("source.json", "checkpoint.bin", "bank.bin"):
         shutil.copy(src / name, dst / name)
     return fast_config(dst)
 
@@ -318,6 +370,42 @@ class TestCorruptArtifacts:
         assert ("data error" if code == 3 else "artifact version mismatch") in err
 
 
+class TestCheckpointRoundTrip:
+    def model(self) -> Model:
+        config = ModelConfig(d_c=4, window=5, horizon=3, d_g=4, d_z=3, hidden=8, head_blocks=2,
+                             d_r=8, d_h=3, d_ec=5, d_ex=5, psi_hidden=9)
+        model = Model(config, seed=7)
+        model.set_norm(1.0 / 3.0, np.pi)
+        model.holdout = [4, 1, 9]
+        rng = np.random.default_rng(7)
+        for _, var in model.store.items():
+            var.value = var.value + rng.normal(size=var.value.shape)
+        return model
+
+    def test_parameters_and_metadata_come_back_bit_for_bit(self, tmp_path):
+        model = self.model()
+        save_checkpoint(model, tmp_path / "checkpoint.bin", config_hash="0123abcd")
+        loaded = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert loaded.config == model.config
+        assert (loaded.norm_mean, loaded.norm_std) == (1.0 / 3.0, np.pi)
+        assert loaded.holdout == [4, 1, 9]
+        assert loaded.store.names() == model.store.names()
+        for name, var in model.store.items():
+            assert loaded.store[name].value.shape == var.value.shape
+            assert loaded.store[name].value.tobytes() == var.value.tobytes()
+        assert loaded.encoder_version() == model.encoder_version()
+        header, _ = _read_ckpt(tmp_path / "checkpoint.bin")
+        assert header["format"] == "bankcast-checkpoint-v2"
+        assert header["config_hash"] == "0123abcd"
+        assert header["encoder_version"] == model.encoder_version()
+
+    def test_two_saves_are_byte_identical(self, tmp_path):
+        model = self.model()
+        save_checkpoint(model, tmp_path / "a.bin", config_hash="0123abcd")
+        save_checkpoint(model, tmp_path / "b.bin", config_hash="0123abcd")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
 class TestHoldoutGuard:
     def test_pretrained_eval_refuses_other_seeds(self, trained_artifacts, tmp_path, capsys):
         p = copy_artifacts(trained_artifacts, tmp_path)
@@ -330,7 +418,7 @@ class TestHoldoutGuard:
         graph_only = ["--config", str(p), "--set", "model.retrieval_enabled=false"]
         assert run_cli(*graph_only, "train") == 0
         written = capsys.readouterr().out
-        assert "checkpoint.json" in written and "bank.bin" not in written
+        assert "checkpoint.bin" in written and "bank.bin" not in written
         # bank.bin is now stale: it belongs to the retrieval checkpoint trained before
         assert run_cli(*graph_only, "--set", "seeds=[1, 2]", "eval") == 5
         assert "holds out regions" in capsys.readouterr().err
@@ -349,7 +437,7 @@ class TestHoldoutGuard:
     def test_pretrained_eval_uses_stored_holdout(self, trained_artifacts, tmp_path, capsys):
         p = copy_artifacts(trained_artifacts, tmp_path)
         assert run_cli("--config", str(p), "eval") == 0
-        stored = json.loads((tmp_path / "checkpoint.json").read_text())["holdout"]
+        stored = _read_ckpt(tmp_path / "checkpoint.bin")[0]["holdout"]
         report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
         assert stored == cli.choose_holdout(10, 3, 1)
         assert sorted(report["holdout"]) == stored

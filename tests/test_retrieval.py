@@ -420,6 +420,21 @@ class TestSelectTopBatch:
             [3, 0, 2, 4, 6, 8, 1, 5, 7], [0, 2, 4, 6, 8, 1, 5, 7], [1, 7, 0, 2, 4, 6, 8, 3],
         ]
 
+    def test_every_copy_of_an_excluded_pair_is_dropped(self):
+        # region id = hour, so each (anchor, region) pair of hour 0 is stored
+        # four times; the later rows exclude pairs hour 0 does not hold
+        n = 24
+        entries = make_entries(n, hours=[i % 2 for i in range(n)], seed=11)
+        entries["anchor"] = 10 + np.arange(n) // 4 % 3
+        entries["region_id"] = np.arange(n) % 2
+        bank = bank_with_keys(entries, unit_keys(n, 8, seed=11))
+        excludes = [(10, 0), (11, 0), (11, 1), (99, 0), (10, 7), None]
+        out = select_top_batch(bank, unit_keys(len(excludes), 8, seed=12), 0, n, excludes)
+        assert [idx.size for idx, _ in out] == [8, 8, 12, 12, 12, 12]
+        for ex, (idx, _) in zip(excludes, out):
+            held = [(e.anchor, e.region_id) for e in bank.entries[idx]]
+            assert ex not in held
+
     def test_random_rows_match_linear_scan(self):
         rng = np.random.default_rng(47)
         entries = make_entries(300, seed=47)
