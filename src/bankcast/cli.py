@@ -108,14 +108,22 @@ PROTOCOLS = ("coldstart", "transfer", "ablation")
 # config plumbing
 
 
-def _check_keys(given: dict, reference: dict, path: str = "") -> None:
-    for key, value in given.items():
-        if key not in reference:
-            raise ConfigError(f"unknown config key: {path}{key}")
-        if isinstance(reference[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key} must be an object")
-            _check_keys(value, reference[key], f"{path}{key}.")
+def _check(value, reference, name: str = "") -> None:
+    """Reject keys the defaults lack and values of another JSON type than
+    their default (an integer stands for a float, a boolean for nothing else);
+    list items take the type of the default's first item."""
+    if type(value) is not type(reference) and (type(reference), type(value)) != (float, int):
+        kind = type(reference).__name__
+        raise ConfigError(f"config value {name or '(top level)'} must be of type {kind}, got {value!r}")
+    if isinstance(reference, dict):
+        for key, item in value.items():
+            path = f"{name}.{key}" if name else key
+            if key not in reference:
+                raise ConfigError(f"unknown config key: {path}")
+            _check(item, reference[key], path)
+    elif isinstance(reference, list) and reference:
+        for i, item in enumerate(value):
+            _check(item, reference[0], f"{name}[{i}]")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -137,7 +145,7 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file not found: {config_path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {config_path} is not valid JSON: {e}")
-    _check_keys(doc, DEFAULT_CONFIG)
+    _check(doc, DEFAULT_CONFIG)
     config = _merge(DEFAULT_CONFIG, doc)
     for item in overrides:
         if "=" not in item:
@@ -158,6 +166,12 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         if not isinstance(probe, dict) or parts[-1] not in probe:
             raise ConfigError(f"unknown config key: {dotted}")
         node[parts[-1]] = value
+    _check(config, DEFAULT_CONFIG)
+    for key, value in config["model"].items():
+        # layer counts may be 0: no message passing, no residual head block
+        least = 0 if key in ("gcn_layers", "head_blocks") else 1
+        if type(value) is int and value < least:
+            raise ConfigError(f"config key model.{key} must be at least {least}, got {value}")
     if config["protocol"] not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {config['protocol']!r}")
     if not config["seeds"]:

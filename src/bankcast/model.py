@@ -75,8 +75,8 @@ class ForwardResult:
     queries: Var | None  # (rows, d_r) unit rows
     l_ret: Var | None  # scalar alignment loss (training mode only)
     valid: np.ndarray  # (rows, 1) 0/1 retrieval-validity flags
-    selected: list[np.ndarray] | None = None  # per row, its top-K bank entry indices
-    weights: Sequence[np.ndarray] | None = None  # per row, the softmax weights of those entries
+    selected: np.ndarray | None = None  # (rows, K) top-K bank entry indices, -1 as padding
+    weights: np.ndarray | None = None  # (rows, K) softmax weights of those entries, 0 at padding
     prior: Var | None = None  # (rows, H) fused prior, normalized space; zero rows without candidates
     rows: list[RetrievalRow] | None = None  # per-region retrieval diagnostics (`forward` only)
 
@@ -178,9 +178,10 @@ class Model:
             true_futures=None if true_futures is None else true_futures[None],
         )
         if res.selected is not None:
+            priors = np.where(res.valid > 0, self.denormalize(res.prior.value), 0.0)
             res.rows = [
-                RetrievalRow(indices=idx, weights=w, prior=w @ bank.futures[idx], valid=idx.size > 0)
-                for idx, w in zip(res.selected, res.weights)
+                RetrievalRow(indices=idx[idx >= 0], weights=w[idx >= 0], prior=p, valid=bool(v))
+                for idx, w, p, v in zip(res.selected, res.weights, priors, res.valid[:, 0])
             ]
         return res
 
@@ -242,26 +243,24 @@ class Model:
         if exclude_anchors is not None:
             anchors = np.tile(exclude_anchors, n).tolist()
             excludes = list(zip(anchors, np.asarray(region_ids)[region_of_row].tolist()))
-        selected: list[np.ndarray] = [None] * n_rows
+        selected = np.full((n_rows, k), -1)
         for hour in np.unique(hours):
             rows = np.flatnonzero(row_hours == hour)
             picks = select_top_batch(
                 bank, queries.value[rows], int(hour), k,
                 None if excludes is None else [excludes[r] for r in rows],
             )
-            for r, (idx, _) in zip(rows, picks):
-                selected[r] = idx
-        if all(idx.size == k for idx in selected):
-            prior, valid, weights = self._dense_priors(queries, bank, selected, k, temperature)
-        else:
-            prior, valid, weights = self._ragged_priors(queries, bank, selected, temperature)
+            # each row fills from its first slot; read row by row, the filled cells take the picks in order
+            filled = np.zeros_like(selected, dtype=bool)
+            filled[rows] = np.arange(k) < np.array([idx.size for idx, _ in picks])[:, None]
+            selected[filled] = np.concatenate([idx for idx, _ in picks])
+        prior, valid, weights = self._dense_priors(queries, bank, selected, temperature)
         y_hat = fuse(y_tilde, prior, self.fusion, valid)
 
         l_ret = None
         with_cand = np.flatnonzero(valid[:, 0])
         if true_futures is not None and with_cand.size:
-            futures_rows = np.asarray(true_futures).transpose(1, 2, 0).reshape(-1, n_rows)
-            best = future_nearest_batch(bank, selected, with_cand, futures_rows)
+            best = future_nearest_batch(bank, selected[with_cand], region_major(true_futures)[with_cand])
             keys_live = encode_retrieval(
                 ad.constant(bank.contexts[best]),
                 ad.constant(self.normalize(bank.histories[best])),
@@ -279,45 +278,33 @@ class Model:
         )
 
     def _dense_priors(
-        self, queries: Var, bank: MemoryBank, selected: list[np.ndarray], k: int, temperature: float
+        self, queries: Var, bank: MemoryBank, selected: np.ndarray, temperature: float
     ) -> tuple[Var, np.ndarray, np.ndarray]:
-        """Priors for the common case of exactly k candidates per row, batched;
-        the weights are one (rows, k) array.
+        """Priors, validity flags and (rows, k) weights of the (rows, k)
+        `selected` entries (-1 as padding), by one masked softmax.
 
-        Rebuilding the selected scores on the tape (rather than reusing the
-        selection-time GEMM) keeps the graph self-contained so gradients flow
-        into the query side of every score.
+        A padded slot scores -inf, so its weight is exactly 0. A row without
+        candidates keeps finite scores (all -inf would give NaN) over zero
+        futures, so its prior is 0 and passes no gradient. Rebuilding the
+        selected scores on the tape keeps gradients flowing into the queries.
         """
-        n = queries.value.shape[0]
-        flat_idx = np.concatenate(selected)
+        n, k = selected.shape
+        pad = selected < 0
+        valid = ~pad[:, :1]  # selection fills a row from its first slot
+        flat_idx = selected.ravel()  # padding reads the last entry, then is masked
         keys = ad.constant(bank.keys[flat_idx].reshape(n, k, -1))
         scores = ad.reduce_sum(ad.mul(ad.reshape(queries, (n, 1, -1)), keys), axis=2)
+        futures = self.normalize(bank.futures[flat_idx]).reshape(n, k, -1)
+        if pad.any():
+            scores = ad.add(scores, ad.constant(np.where(pad & valid, -np.inf, 0.0)))
+            futures = futures * valid[:, :, None]
         alpha = ad.row_softmax(scores, temperature)
-        futures = ad.constant(self.normalize(bank.futures[flat_idx]).reshape(n, k, -1))
-        prior = ad.reduce_sum(ad.mul(ad.reshape(alpha, (n, k, 1)), futures), axis=1)
-        return prior, np.ones((n, 1)), alpha.value
+        prior = ad.reduce_sum(ad.mul(ad.reshape(alpha, (n, k, 1)), ad.constant(futures)), axis=1)
+        return prior, valid.astype(float), np.where(pad, 0.0, alpha.value)
 
-    def _ragged_priors(
-        self, queries: Var, bank: MemoryBank, selected: list[np.ndarray], temperature: float
-    ) -> tuple[Var, np.ndarray, list[np.ndarray]]:
-        """Per-row priors when candidate counts differ (small buckets, exclusions)."""
-        n = queries.value.shape[0]
-        valid = np.zeros((n, 1))
-        prior_parts: list[Var] = []
-        weights: list[np.ndarray] = []
-        zero_prior = ad.constant(np.zeros((1, self.config.horizon)))
-        for i, idx in enumerate(selected):
-            if idx.size == 0:
-                prior_parts.append(zero_prior)
-                weights.append(np.empty(0))
-                continue
-            valid[i, 0] = 1.0
-            scores = ad.matmul(ad.take_rows(queries, [i]), ad.constant(bank.keys[idx].T))
-            alpha = ad.row_softmax(scores, temperature)
-            prior_parts.append(ad.matmul(alpha, ad.constant(self.normalize(bank.futures[idx]))))
-            weights.append(alpha.value[0])
-        prior = prior_parts[0] if n == 1 else ad.concat(prior_parts, axis=0)
-        return prior, valid, weights
+    # perfbench's tracer wraps `Model._ragged_priors` by name; the alias keeps
+    # that lookup working now that `_dense_priors` builds every prior
+    _ragged_priors = _dense_priors
 
 
 # ---------------------------------------------------------------------------

@@ -305,22 +305,19 @@ def retrieve(
     return RetrievalRow(indices=idx, weights=weights, prior=prior, valid=True)
 
 
-def future_nearest_batch(
-    bank: MemoryBank, selected: list[np.ndarray], rows: list[int], true_futures: np.ndarray
-) -> list[int]:
-    """For each listed row, the selected entry whose stored future is L2-closest
-    to that row's true future; true_futures is (H, n) raw.
+def future_nearest_batch(bank: MemoryBank, selected: np.ndarray, true_futures: np.ndarray) -> np.ndarray:
+    """For each row of the (m, K) `selected` entry indices, -1 marking
+    padding, the entry whose stored future is L2-closest to that row's true
+    future; true_futures is (m, H) raw. Returns (m,) entry indices.
 
-    Ties break to the smaller entry index.
+    Ties break to the smaller entry index; a row of padding alone gives -1.
     """
-    counts = [selected[i].size for i in rows]
-    flat = np.concatenate([selected[i] for i in rows])
-    rep = np.repeat(np.arange(len(rows)), counts)
-    diff = bank.futures[flat] - true_futures.T[np.asarray(rows)[rep]]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    # sorted by (row, distance, entry index), each row's run starts with its winner
-    order = np.lexsort((flat, d2, rep))
-    return flat[order[np.cumsum([0] + counts[:-1])]].tolist()
+    # padding reads the last entry, then scores +inf
+    diff = bank.futures[selected.ravel()] - np.repeat(true_futures, selected.shape[1], axis=0)
+    d2 = np.where(selected < 0, np.inf, np.einsum("ij,ij->i", diff, diff).reshape(selected.shape))
+    # among each row's nearest entries, the smallest index
+    nearest = d2 == d2.min(axis=1, keepdims=True)
+    return np.where(nearest, selected, np.iinfo(selected.dtype).max).min(axis=1)
 
 
 def alignment_loss(queries: Var, keys: Var, weights: np.ndarray | None = None) -> Var:

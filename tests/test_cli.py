@@ -104,6 +104,30 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("/nonexistent/config.json", [])
 
+    # a value of the wrong JSON type, or a model width below 1, used to reach
+    # the model or the selection and fail there with a traceback (exit 1)
+    @pytest.mark.parametrize("override", [
+        "train.k=abc", "train.k=2.5", "model.d_r=abc", "model.retrieval_enabled=1",
+        "train.learning_rate=true", "seeds=[1.5]", "synthetic=3",
+        "model.d_r=-1", "model.d_g=0", "model.gcn_layers=-1",
+    ])
+    def test_bad_value_exits_2(self, override, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        run_cli("--config", str(p), "generate")
+        assert run_cli("--config", str(p), "--set", override, "train", "--dry-run") == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["train.temperature=1", "model.gcn_layers=0", "model.head_blocks=0"])
+    def test_integer_for_number_and_zero_depths_accepted(self, override, tmp_path):
+        resolve_config(str(fast_config(tmp_path)), [override])
+
+    @pytest.mark.parametrize("doc,where", [({"train": {"k": "3"}}, "train.k"), ([1, 2], "top level")])
+    def test_bad_type_in_config_file_rejected(self, doc, where, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=where):
+            resolve_config(str(p), [])
+
 
 class TestGenerate:
     def test_generate_writes_dataset_and_prints_counts(self, tmp_path, capsys):

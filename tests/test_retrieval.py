@@ -462,7 +462,7 @@ class TestFutureNearest:
         bank = bank_with_keys(entries, unit_keys(20, 8, seed=37))
         cand = np.array([3, 7, 1, 15, 9])
         target = rng.uniform(0, 5, size=3)
-        best = future_nearest_batch(bank, [cand], [0], target[:, None])[0]
+        best = future_nearest_batch(bank, cand[None], target[None])[0]
         dists = {i: np.linalg.norm(bank.futures[i] - target) for i in cand}
         expect = min(sorted(dists), key=lambda i: (dists[i], i))
         assert best == expect
@@ -471,15 +471,23 @@ class TestFutureNearest:
         entries = make_entries(4, hours=[0] * 4)
         bank = bank_with_keys(entries, unit_keys(4, 8))
         bank.futures[1] = bank.futures[3] = np.array([1.0, 2.0, 3.0])
-        best = future_nearest_batch(bank, [np.array([3, 1])], [0], np.array([[1.0], [2.0], [3.0]]))
-        assert best == [1]
+        best = future_nearest_batch(bank, np.array([[3, 1]]), np.array([[1.0, 2.0, 3.0]]))
+        assert best.tolist() == [1]
 
     def test_rows_pick_their_own_targets(self):
         entries = make_entries(6, hours=[0] * 6, seed=39)
         bank = bank_with_keys(entries, unit_keys(6, 8, seed=39))
-        selected = [np.array([0, 1, 2]), np.empty(0, dtype=np.intp), np.array([5, 3, 4])]
-        targets = np.stack([bank.futures[2], np.zeros(3), bank.futures[3]], axis=1)
-        assert future_nearest_batch(bank, selected, [0, 2], targets) == [2, 3]
+        # row 1 is padding alone; rows 2 and 3 are padded after two entries and
+        # aim at the futures of entries 0 and 5, the first and last, which no
+        # padding slot may reach
+        selected = np.array([[0, 1, 2], [-1, -1, -1], [3, 4, -1], [3, 4, -1]])
+        targets = np.stack([bank.futures[2], np.zeros(3), bank.futures[0], bank.futures[5]])
+
+        def nearest(target):
+            return min([3, 4], key=lambda i: (np.linalg.norm(bank.futures[i] - target), i))
+
+        want = [2, -1, nearest(bank.futures[0]), nearest(bank.futures[5])]
+        assert future_nearest_batch(bank, selected, targets).tolist() == want
 
 
 class TestAlignmentLoss:

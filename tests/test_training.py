@@ -12,7 +12,7 @@ from bankcast.data import (
 from bankcast.errors import DataError
 from bankcast.gradcheck import grad_check
 from bankcast.model import Model, ModelConfig
-from bankcast.retrieval import build_bank
+from bankcast.retrieval import MemoryBank, bank_entries, build_bank, retrieve
 from bankcast.training import (
     TrainConfig,
     batch_loss,
@@ -342,22 +342,7 @@ class TestBatchLoss:
             assert 0 < len(rets) < n  # some instances have no candidate at all
 
     def test_grad_check_three_instances(self):
-        spec = SyntheticSpec(
-            n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
-            scale_range=(8.0, 20.0),
-        )
-        city = generate_synthetic_city(spec, name="toy")
-        cfg = ModelConfig(
-            d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,
-            gcn_layers=1, d_r=12, d_h=4, d_ec=8, d_ex=8, psi_hidden=16,
-        )
-        model = Model(cfg, seed=1)
-        model.set_norm(float(city.demand.mean()), float(city.demand.std()))
-        rng = np.random.default_rng(7)
-        for _, var in model.store.items():
-            var.value = rng.normal(0.0, 0.3, size=var.value.shape)
-        windows = make_windows(city, 4, 4)
-        contexts = city.contexts()
+        model, windows, contexts = grad_toy()
         # every hour has bank entries, so each row retrieves and aligns
         bank = build_bank(windows[:30], [0, 1, 2], contexts, model.encode_entries, "v")
         batch = [windows[31], windows[40], windows[44]]
@@ -370,6 +355,25 @@ class TestBatchLoss:
 
         report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+def grad_toy() -> tuple[Model, list, np.ndarray]:
+    """A live model on a 4-region toy city with W = H = 4, for gradient checks."""
+    spec = SyntheticSpec(
+        n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
+        scale_range=(8.0, 20.0),
+    )
+    city = generate_synthetic_city(spec, name="toy")
+    cfg = ModelConfig(
+        d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,
+        gcn_layers=1, d_r=12, d_h=4, d_ec=8, d_ex=8, psi_hidden=16,
+    )
+    model = Model(cfg, seed=1)
+    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+    rng = np.random.default_rng(7)
+    for _, var in model.store.items():
+        var.value = rng.normal(0.0, 0.3, size=var.value.shape)
+    return model, make_windows(city, 4, 4), city.contexts()
 
 
 class TestForwardBatch:
@@ -396,8 +400,76 @@ class TestForwardBatch:
                 got, want = getattr(res, name).value[rows], getattr(single, name).value
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12), name
             for i, row in enumerate(single.rows):
-                assert np.array_equal(res.selected[i * n_inst + b], row.indices)
-                assert np.allclose(res.weights[i * n_inst + b], row.weights, rtol=1e-12, atol=1e-12)
+                # padded (rows, k) arrays: the row's picks, then -1 indices and 0 weights
+                sel, w, m = res.selected[i * n_inst + b], res.weights[i * n_inst + b], row.indices.size
+                assert sel.shape == w.shape == (3,)
+                assert np.array_equal(sel[:m], row.indices) and np.all(sel[m:] == -1)
+                assert np.allclose(w[:m], row.weights, rtol=1e-12, atol=1e-12) and np.all(w[m:] == 0.0)
                 # no row retrieves its own (anchor, region) entry
-                sel = res.selected[i * n_inst + b]
+                sel = sel[:m]
                 assert not np.any((bank.anchors[sel] == inst.t) & (bank.region_ids[sel] == obs[i]))
+
+    def test_partly_filled_and_empty_rows(self):
+        """k = 3 over hand-made hour buckets, rows excluding their own
+        (anchor, region id) entries: one row keeps 2 candidates, one keeps
+        none, every other row keeps 3."""
+        model, windows, contexts = grad_toy()
+        batch = [windows[31], windows[40], windows[44]]  # anchors 34, 43, 47; hours 10, 19, 23
+        # (region id, anchor, hour): at hour 10 region 2 of anchor 34 excludes
+        # one of three entries; at hour 19 all three hold region 0 of anchor 43
+        pairs = [(2, 34, 10), (0, 5, 10), (1, 6, 10)] + [(0, 43, 19)] * 3 + [(r, 7, 23) for r in range(4)]
+        rids, anchors, hours = map(list, zip(*pairs))
+        src = [(windows[j], rid) for j, rid in enumerate(rids)]
+        bank = MemoryBank(bank_entries(
+            rids, anchors, hours, contexts[rids],
+            np.stack([w.history[:, rid] for w, rid in src]), np.stack([w.future[:, rid] for w, rid in src]),
+        ))
+        model.refresh_bank(bank)
+        observable, inactive, k, temperature = [0, 1, 2, 3], [1], 3, 0.1
+        obs = np.asarray(observable)
+        views = [masked_view(inst, inactive) for inst in batch]
+        res = model.forward_batch(
+            contexts[obs], np.stack([v.history[:, obs] for v in views]),
+            np.stack([v.mask[obs] for v in views]), [v.hour for v in views],
+            bank=bank, k=k, temperature=temperature, region_ids=obs,
+            exclude_anchors=[inst.t for inst in batch],
+            true_futures=np.stack([inst.future[:, obs] for inst in batch]),
+        )
+        n_inst = len(batch)
+        counts = (res.selected >= 0).sum(axis=1)
+        # row i·B + b: region 2 of instance 0 keeps 2, region 0 of instance 1 keeps none
+        assert counts[2 * n_inst + 0] == 2 and counts[0 * n_inst + 1] == 0
+        assert np.sum(counts == k) == len(counts) - 2
+        for b, inst in enumerate(batch):
+            single = model.forward(
+                contexts[obs], views[b].history[:, obs], views[b].mask[obs], views[b].hour,
+                bank=bank, k=k, temperature=temperature, region_ids=obs, exclude_anchor=inst.t,
+            )
+            for i, rid in enumerate(observable):
+                r = i * n_inst + b
+                want = retrieve(res.queries.value[r], bank, inst.hour, k, temperature, exclude=(inst.t, rid))
+                m = want.indices.size
+                assert m == counts[r] and res.valid[r, 0] == float(want.valid)
+                assert np.array_equal(res.selected[r, :m], want.indices) and np.all(res.selected[r, m:] == -1)
+                assert np.allclose(res.weights[r, :m], want.weights, rtol=0.0, atol=1e-12)
+                assert np.all(res.weights[r, m:] == 0.0)
+                prior = model.denormalize(res.prior.value[r]) if want.valid else res.prior.value[r]
+                assert np.allclose(prior, want.prior, rtol=1e-12, atol=1e-12)
+                # `Model.forward` reports the prior the fusion consumed, 0 without candidates
+                assert np.allclose(single.rows[i].prior, want.prior, rtol=1e-12, atol=1e-12)
+                assert single.rows[i].valid == want.valid
+        for v in (res.y_hat.value, res.prior.value, res.weights):
+            assert np.all(np.isfinite(v))
+
+        tc = TrainConfig(k=k, lambda_ret=0.2, temperature=temperature)
+
+        def loss():
+            return batch_loss(model, batch, contexts, observable, inactive, bank, tc)[0]
+
+        total, _, l_ret, grads = losses_and_grads(
+            model, lambda: batch_loss(model, batch, contexts, observable, inactive, bank, tc)
+        )
+        assert l_ret is not None and np.isfinite(total.value)
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
+        assert report.passed, report.summary()
