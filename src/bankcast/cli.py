@@ -114,7 +114,7 @@ def _check(value, reference, name: str = "") -> None:
     list items take the type of the default's first item."""
     if type(value) is not type(reference) and (type(reference), type(value)) != (float, int):
         kind = type(reference).__name__
-        raise ConfigError(f"config value {name or '(top level)'} must be of type {kind}, got {value!r}")
+        raise ConfigError(f"config value {name} must be of type {kind}, got {value!r}")
     if isinstance(reference, dict):
         for key, item in value.items():
             path = f"{name}.{key}" if name else key
@@ -145,7 +145,8 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file not found: {config_path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {config_path} is not valid JSON: {e}")
-    _check(doc, DEFAULT_CONFIG)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {config_path}: the top level must be of type dict, got {doc!r}")
     config = _merge(DEFAULT_CONFIG, doc)
     for item in overrides:
         if "=" not in item:
@@ -161,17 +162,13 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         for p in parts[:-1]:
             if not isinstance(probe, dict) or p not in probe:
                 raise ConfigError(f"unknown config key: {dotted}")
-            probe = probe[p]
-            node = node.setdefault(p, {})
+            probe, node = probe[p], node[p]
+            if not isinstance(node, dict):  # the file or an earlier --set put a non-object here
+                raise ConfigError(f"config value {p} must be of type dict to take {dotted}, got {node!r}")
         if not isinstance(probe, dict) or parts[-1] not in probe:
             raise ConfigError(f"unknown config key: {dotted}")
         node[parts[-1]] = value
     _check(config, DEFAULT_CONFIG)
-    for key, value in config["model"].items():
-        # layer counts may be 0: no message passing, no residual head block
-        least = 0 if key in ("gcn_layers", "head_blocks") else 1
-        if type(value) is int and value < least:
-            raise ConfigError(f"config key model.{key} must be at least {least}, got {value}")
     if config["protocol"] not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {config['protocol']!r}")
     if not config["seeds"]:

@@ -11,7 +11,7 @@ its selected entries so both encoder sides receive gradients.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +28,7 @@ from .backbone import (
     message_pass,
     project_context,
 )
-from .errors import DataError, VersionMismatchError
+from .errors import ConfigError, DataError, VersionMismatchError
 from .fusion import FusionParams, fuse
 from .retrieval import (
     MemoryBank,
@@ -59,6 +59,14 @@ class ModelConfig:
     retrieval_enabled: bool = True
     stop_key_grad: bool = False
 
+    def validate(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # layer counts may be 0: no message passing, no residual head block
+            least = 0 if field.name in ("gcn_layers", "head_blocks") else 1
+            if type(value) is int and value < least:
+                raise ConfigError(f"model {field.name} must be at least {least}, got {value}")
+
 
 def region_major(per_instance: np.ndarray) -> np.ndarray:
     """(B, H, n) per-instance columns -> (n·B, H) rows, row i·B + b being
@@ -83,6 +91,7 @@ class ForwardResult:
 
 class Model:
     def __init__(self, config: ModelConfig, seed: int = 0):
+        config.validate()
         self.config = config
         self.store = ParamStore()
         rng = np.random.default_rng(seed)
@@ -294,10 +303,8 @@ class Model:
         flat_idx = selected.ravel()  # padding reads the last entry, then is masked
         keys = ad.constant(bank.keys[flat_idx].reshape(n, k, -1))
         scores = ad.reduce_sum(ad.mul(ad.reshape(queries, (n, 1, -1)), keys), axis=2)
-        futures = self.normalize(bank.futures[flat_idx]).reshape(n, k, -1)
-        if pad.any():
-            scores = ad.add(scores, ad.constant(np.where(pad & valid, -np.inf, 0.0)))
-            futures = futures * valid[:, :, None]
+        scores = ad.add(scores, ad.constant(np.where(pad & valid, -np.inf, 0.0)))
+        futures = self.normalize(bank.futures[flat_idx]).reshape(n, k, -1) * valid[:, :, None]
         alpha = ad.row_softmax(scores, temperature)
         prior = ad.reduce_sum(ad.mul(ad.reshape(alpha, (n, k, 1)), ad.constant(futures)), axis=1)
         return prior, valid.astype(float), np.where(pad, 0.0, alpha.value)
@@ -350,6 +357,6 @@ def load_checkpoint(path: str | Path) -> Model:
             for (name, shape), lo, hi in zip(params, offsets[:-1], offsets[1:])
         })
         model.holdout = header.get("holdout")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"checkpoint file {path} is malformed: {type(e).__name__}: {e}")
     return model

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Var
 from .data import CityDataset, ForecastInstance, masked_view
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .model import ForwardResult, Model, region_major
 from .retrieval import MemoryBank, build_bank
 
@@ -55,11 +55,11 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.lambda_ret < 0:
-            raise DataError("lambda_ret must be nonnegative")
+            raise ConfigError("lambda_ret must be nonnegative")
         if self.epochs < 1 or self.batch_size < 1 or self.k < 1:
-            raise DataError("epochs, batch_size, and k must be positive")
+            raise ConfigError("epochs, batch_size, and k must be positive")
         if self.temperature <= 0 or self.learning_rate < 0:
-            raise DataError("temperature must be positive and learning_rate nonnegative")
+            raise ConfigError("temperature must be positive and learning_rate nonnegative")
 
 
 class Adam:

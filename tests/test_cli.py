@@ -105,11 +105,13 @@ class TestConfigResolution:
             resolve_config("/nonexistent/config.json", [])
 
     # a value of the wrong JSON type, or a model width below 1, used to reach
-    # the model or the selection and fail there with a traceback (exit 1)
+    # the model or the selection and fail there with a traceback (exit 1);
+    # a train value out of range was reported as a data error (exit 3)
     @pytest.mark.parametrize("override", [
         "train.k=abc", "train.k=2.5", "model.d_r=abc", "model.retrieval_enabled=1",
         "train.learning_rate=true", "seeds=[1.5]", "synthetic=3",
         "model.d_r=-1", "model.d_g=0", "model.gcn_layers=-1",
+        "train.k=0", "train.temperature=0",
     ])
     def test_bad_value_exits_2(self, override, tmp_path, capsys):
         p = fast_config(tmp_path)
@@ -119,7 +121,15 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("override", ["train.temperature=1", "model.gcn_layers=0", "model.head_blocks=0"])
     def test_integer_for_number_and_zero_depths_accepted(self, override, tmp_path):
-        resolve_config(str(fast_config(tmp_path)), [override])
+        config = resolve_config(str(fast_config(tmp_path)), [override])
+        cli.model_config(config, d_c=4).validate()
+        cli.train_config(config, seed=0).validate()
+
+    def test_model_config_validated_where_the_model_is_built(self):
+        with pytest.raises(ConfigError, match="d_r must be at least 1"):
+            Model(ModelConfig(d_c=4, d_r=0))
+        with pytest.raises(ConfigError, match="head_blocks must be at least 0"):
+            ModelConfig(d_c=4, head_blocks=-1).validate()
 
     @pytest.mark.parametrize("doc,where", [({"train": {"k": "3"}}, "train.k"), ([1, 2], "top level")])
     def test_bad_type_in_config_file_rejected(self, doc, where, tmp_path):
@@ -127,6 +137,12 @@ class TestConfigResolution:
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=where):
             resolve_config(str(p), [])
+
+    def test_set_below_a_non_object_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"train": 3}))
+        with pytest.raises(ConfigError, match="train must be of type dict"):
+            resolve_config(str(p), ["train.k=1"])
 
 
 class TestGenerate:
