@@ -202,19 +202,6 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     return out
 
 
-def transpose(a: Var) -> Var:
-    a = _to_var(a)
-    out = Var(a.value.T, (a,))
-    if not _grad_enabled:
-        return out
-
-    def _bw(g):
-        _accum(a, g.T)
-
-    out._backward = _bw
-    return out
-
-
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
     parts = [_to_var(p) for p in parts]
     out = Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))

@@ -71,7 +71,7 @@ def build_adjacency(node_embed: Var) -> Var:
 
     Depends on contexts only, so it is identical for active and inactive regions.
     """
-    sim = ad.matmul(node_embed, ad.transpose(node_embed))
+    sim = ad.linear(node_embed, node_embed)
     return ad.row_softmax(ad.gelu(sim), temperature=1.0)
 
 

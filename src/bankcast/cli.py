@@ -14,10 +14,12 @@ import copy
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .data import (
     SyntheticSpec,
+    check_split_ratios,
     generate_synthetic_city,
     load_city,
     make_windows,
@@ -46,6 +48,11 @@ from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .retrieval import load_bank, save_bank
 from .training import TrainConfig, TrainResult, write_log_csv
 
+
+def _field_defaults(cls, skip: tuple[str, ...]) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
 DEFAULT_CONFIG: dict = {
     "protocol": "coldstart",
     "seeds": [1, 2, 3],
@@ -70,35 +77,11 @@ DEFAULT_CONFIG: dict = {
         "scale_range": [8.0, 20.0],
         "target_seed": 101,
     },
-    "model": {
-        "d_g": 32,
-        "d_z": 32,
-        "hidden": 64,
-        "head_blocks": 3,
-        "gcn_layers": 1,
-        "d_r": 128,
-        "d_h": 8,
-        "d_ec": 64,
-        "d_ex": 64,
-        "psi_hidden": 128,
-        "retrieval_enabled": True,
-        "stop_key_grad": False,
-    },
-    "train": {
-        "epochs": 100,
-        "batch_size": 16,
-        "learning_rate": 1e-3,
-        "lambda_ret": 0.2,
-        "k": 8,
-        "temperature": 0.1,
-        "n_inactive_per_batch": 6,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "clip_norm": 5.0,
-        "patience": 10,
-        "supervise_inactive": True,
-    },
+    # the model and train blocks take their defaults from the config
+    # dataclasses; the city fixes d_c, the top level window and horizon,
+    # and each seed of `seeds` the training seed
+    "model": _field_defaults(ModelConfig, ("d_c", "window", "horizon")),
+    "train": _field_defaults(TrainConfig, ("seed",)),
 }
 
 PROTOCOLS = ("coldstart", "transfer", "ablation")
@@ -173,6 +156,12 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {config['protocol']!r}")
     if not config["seeds"]:
         raise ConfigError("seeds list must not be empty")
+    if config["n_holdout"] < 1:
+        raise ConfigError(f"n_holdout must be at least 1, got {config['n_holdout']}")
+    try:
+        check_split_ratios(tuple(config["split_ratios"]))
+    except DataError as e:
+        raise ConfigError(str(e))
     return config
 
 

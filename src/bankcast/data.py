@@ -231,9 +231,13 @@ def make_windows(
     return instances
 
 
+def check_split_ratios(ratios: tuple[float, float, float]) -> None:
+    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise DataError(f"split ratios must be three positive values summing to 1, got {ratios}")
+
+
 def split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
-    if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must be positive and sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     n_train = round(n * ratios[0])
     n_val = round(n * ratios[1])
     n_test = n - n_train - n_val

@@ -57,7 +57,6 @@ class ModelConfig:
     d_ex: int = 64
     psi_hidden: int = 128
     retrieval_enabled: bool = True
-    stop_key_grad: bool = False
 
     def validate(self) -> None:
         for field in fields(self):
@@ -250,14 +249,12 @@ class Model:
         )
         excludes = None
         if exclude_anchors is not None:
-            anchors = np.tile(exclude_anchors, n).tolist()
-            excludes = list(zip(anchors, np.asarray(region_ids)[region_of_row].tolist()))
+            excludes = np.stack([np.tile(exclude_anchors, n), np.asarray(region_ids)[region_of_row]], 1)
         selected = np.full((n_rows, k), -1)
         for hour in np.unique(hours):
             rows = np.flatnonzero(row_hours == hour)
             picks = select_top_batch(
-                bank, queries.value[rows], int(hour), k,
-                None if excludes is None else [excludes[r] for r in rows],
+                bank, queries.value[rows], int(hour), k, None if excludes is None else excludes[rows]
             )
             # each row fills from its first slot; read row by row, the filled cells take the picks in order
             filled = np.zeros_like(selected, dtype=bool)
@@ -276,8 +273,6 @@ class Model:
                 bank.hours[best],
                 self.retriever,
             )
-            if self.config.stop_key_grad:
-                keys_live = ad.constant(keys_live.value)
             inst = with_cand % n_inst
             row_weight = 1.0 / (n_inst * np.bincount(inst, minlength=n_inst)[inst])
             l_ret = alignment_loss(ad.take_rows(queries, with_cand), keys_live, row_weight[:, None])

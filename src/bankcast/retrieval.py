@@ -10,18 +10,18 @@ embedding) and normalizes the output to the unit sphere.
 
 One routine, `select_top_batch`, does all top-K selection: it takes the
 query hour's slice of the keys, scores every query row against it with one
-GEMM, drops excluded entries, and keeps the top K per row (ties to the
-smaller entry index). The model runs it on a whole region set; `retrieve`
-runs it on one query and turns the selection into softmax weights and a
-future prior. Only the alignment loss re-encodes its selected entries so
-gradients can reach the key-side encoder.
+GEMM, masks out the entries holding each row's excluded (anchor, region id)
+pair, and keeps the top K per row (ties to the smaller entry index). The
+model runs it on a whole region set; `retrieve` runs it on one query and
+turns the selection into softmax weights and a future prior. Only the
+alignment loss re-encodes its selected entries so gradients can reach the
+key-side encoder.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -159,34 +159,6 @@ class MemoryBank:
     def entry_checksum(self) -> str:
         return _records_checksum(self.entries)
 
-    @cached_property
-    def _pair_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The bank's distinct anchors and region ids, and its entries ordered
-        by (hour, pair code) with their codes: a pair's code is its anchor's
-        rank times the number of distinct region ids plus its region id's rank,
-        so each hour's slice of the codes is sorted."""
-        anchor_values, anchor_rank = np.unique(self.anchors, return_inverse=True)
-        rid_values, rid_rank = np.unique(self.region_ids, return_inverse=True)
-        codes = anchor_rank * len(rid_values) + rid_rank
-        order = np.lexsort((codes, self.hours))
-        return anchor_values, rid_values, order, codes[order]
-
-    def find_pairs(self, bucket: slice, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every entry of one hour's `bucket` that holds one of the (m, 2)
-        (anchor, region id) `pairs`: (pair index, entry index) arrays, one
-        item per match, so a pair stored twice matches twice."""
-        anchor_values, rid_values, order, codes = self._pair_index
-        a = np.searchsorted(anchor_values, pairs[:, 0]).clip(max=len(anchor_values) - 1)
-        r = np.searchsorted(rid_values, pairs[:, 1]).clip(max=len(rid_values) - 1)
-        known = (anchor_values[a] == pairs[:, 0]) & (rid_values[r] == pairs[:, 1])
-        # -1 is no entry's code
-        query = np.where(known, a * len(rid_values) + r, -1)
-        lo = np.searchsorted(codes[bucket], query, "left")
-        counts = np.searchsorted(codes[bucket], query, "right") - lo
-        which = np.repeat(np.arange(len(pairs)), counts)
-        pos = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-        return which, order[bucket][pos]
-
 
 def _records_checksum(entries: np.ndarray) -> str:
     return hashlib.sha256(entries.tobytes()).hexdigest()
@@ -242,20 +214,24 @@ def select_top_batch(
     queries: np.ndarray,
     hour: int,
     k: int,
-    excludes: list[tuple[int, int] | None] | None = None,
+    excludes: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Top-k entry indices and scores for each query row of one hour.
 
-    `excludes[i]`, an (anchor, region id) pair or None, drops every entry
-    holding that pair from row i's candidates; given, it has one item per
-    query row. Ties go to the smaller entry index; a row is shorter than k
-    when its hour bucket, after exclusion, holds fewer entries.
+    `excludes`, an (n, 2) int array with one (anchor, region id) pair per
+    query row, drops every entry of the bucket holding row i's pair from row
+    i's candidates: one mask compares the pairs with the bucket's anchor and
+    region-id columns, so a pair that no entry holds drops nothing. Ties go
+    to the smaller entry index; a row is shorter than k when its hour
+    bucket, after exclusion, holds fewer entries.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = queries.shape[0]
-    if excludes is not None and len(excludes) != n:
-        raise ValueError(f"excludes has {len(excludes)} items for {n} query rows")
+    if excludes is not None:
+        excludes = np.asarray(excludes)
+        if excludes.shape != (n, 2):
+            raise ValueError(f"excludes has shape {excludes.shape}, not ({n}, 2) (anchor, region id) pairs")
     if bank.keys is None:
         raise DataError("bank has no keys; call refresh_keys first")
     cand = bank.hour_index.get(hour, np.empty(0, dtype=np.intp))
@@ -263,10 +239,9 @@ def select_top_batch(
         return [(cand, np.empty(0))] * n
     bucket = slice(cand[0], cand[-1] + 1)
     scores = queries @ bank.keys[bucket].T
-    rows = [i for i, ex in enumerate(excludes or []) if ex is not None]
-    if rows:
-        which, entry = bank.find_pairs(bucket, np.array([excludes[i] for i in rows], dtype=np.int64))
-        scores[np.asarray(rows)[which], entry - cand[0]] = -np.inf
+    if excludes is not None:
+        held = (bank.anchors[bucket] == excludes[:, :1]) & (bank.region_ids[bucket] == excludes[:, 1:])
+        scores[held] = -np.inf
     # every candidate scoring at least its row's k-th largest score survives;
     # sorting the survivors by (row, -score, entry index) ranks each row with
     # the smaller-index tie rule, then each row keeps its first k finite ones
@@ -295,7 +270,8 @@ def retrieve(
     """Hour-filtered top-k retrieval with temperature-softmax weights and future prior."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    [(idx, scores)] = select_top_batch(bank, query[None, :], hour, k, [exclude])
+    excludes = None if exclude is None else [exclude]
+    [(idx, scores)] = select_top_batch(bank, query[None, :], hour, k, excludes)
     if idx.size == 0:
         return RetrievalRow(
             indices=idx, weights=np.empty(0), prior=np.zeros(bank.horizon), valid=False

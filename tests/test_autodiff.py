@@ -70,7 +70,7 @@ def assert_grads_close(fn, store, rtol=1e-5):
         "matmul",
         "linear",
         "linear_bias",
-        "transpose",
+        "linear_shared",
         "concat",
         "take_rows",
         "relu",
@@ -106,8 +106,9 @@ def test_op_gradients_match_central_differences(name):
         w = store.register("w", rng.normal(size=(2, 4)))
         b = store.register("b", rng.normal(size=(1, 2)))
         fn = lambda: ad.reduce_sum(ad.mul(ad.linear(a, w, b), ad.linear(a, w, b)))
-    elif name == "transpose":
-        fn = lambda: ad.reduce_sum(ad.mul(ad.transpose(a), ad.transpose(a)))
+    elif name == "linear_shared":
+        # both gradient sides of a @ a.T reach the one leaf
+        fn = lambda: ad.reduce_sum(ad.mul(ad.linear(a, a), ad.linear(a, a)))
     elif name == "concat":
         b = store.register("b", rng.normal(size=(3, 2)))
         fn = lambda: ad.reduce_sum(ad.mul(ad.concat([a, b], axis=1), ad.concat([a, b], axis=1)))
@@ -158,9 +159,8 @@ NO_GRAD_CASES = {
     "add": lambda a, b: ad.add(a, ad.take_rows(b, [0])),
     "sub": lambda a, b: ad.sub(a, b),
     "mul": lambda a, b: ad.mul(a, b),
-    "matmul": lambda a, b: ad.matmul(a, ad.transpose(b)),
+    "matmul": lambda a, b: ad.matmul(a, ad.reshape(b, (4, 3))),
     "linear": lambda a, b: ad.linear(a, b, ad.constant([[0.5, -1.0, 2.0]])),
-    "transpose": lambda a, b: ad.transpose(a),
     "concat": lambda a, b: ad.concat([a, b, a], axis=1),
     "reshape": lambda a, b: ad.reshape(a, (4, 3)),
     "take_rows": lambda a, b: ad.take_rows(a, [2, 0, 2]),

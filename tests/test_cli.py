@@ -106,12 +106,16 @@ class TestConfigResolution:
 
     # a value of the wrong JSON type, or a model width below 1, used to reach
     # the model or the selection and fail there with a traceback (exit 1);
-    # a train value out of range was reported as a data error (exit 3)
+    # a train value out of range was reported as a data error (exit 3); a
+    # negative n_holdout or bad split_ratios passed the dry run, then failed
+    # with a traceback or exit 3; stop_key_grad is no longer a model key
     @pytest.mark.parametrize("override", [
         "train.k=abc", "train.k=2.5", "model.d_r=abc", "model.retrieval_enabled=1",
         "train.learning_rate=true", "seeds=[1.5]", "synthetic=3",
         "model.d_r=-1", "model.d_g=0", "model.gcn_layers=-1",
         "train.k=0", "train.temperature=0",
+        "n_holdout=-1", "n_holdout=0", "split_ratios=[0.5,0.6,0.2]", "split_ratios=[0.5,0.5]",
+        "model.stop_key_grad=false",
     ])
     def test_bad_value_exits_2(self, override, tmp_path, capsys):
         p = fast_config(tmp_path)

@@ -345,8 +345,12 @@ E0, E1 = np.eye(8)[:2]
 KEY_A, KEY_B, KEY_C = E0, (E0 + E1) / np.sqrt(2.0), E1
 
 
+# an (anchor, region id) pair that no test bank holds: its row excludes nothing
+NO_PAIR = (-1, -1)
+
+
 def excl(bank, i):
-    return None if i is None else (bank.entries[i].anchor, bank.entries[i].region_id)
+    return NO_PAIR if i is None else (bank.entries[i].anchor, bank.entries[i].region_id)
 
 
 class TestSelectTopBatch:
@@ -394,15 +398,16 @@ class TestSelectTopBatch:
 
     def test_ties_beyond_free_slots_go_to_smaller_index(self):
         bank = self.bank()
-        out = select_top_batch(bank, np.vstack([KEY_A, KEY_A]), 3, 3, [None, excl(bank, 0)])
+        out = select_top_batch(bank, np.vstack([KEY_A, KEY_A]), 3, 3, [NO_PAIR, excl(bank, 0)])
         # A first, then two of the five tied B entries
         assert [idx.tolist() for idx, _ in out] == [[3, 0, 2], [3, 2, 4]]
         assert out[0][1][1] == out[0][1][2]
 
-    @pytest.mark.parametrize("n_excludes", [0, 3, 5])
-    def test_excludes_need_one_item_per_row(self, n_excludes):
+    # four query rows need a (4, 2) array of pairs
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 2), (5, 2), (4, 3)], ids=["0", "3", "5", "4x3"])
+    def test_excludes_need_one_item_per_row(self, shape):
         with pytest.raises(ValueError, match="excludes has"):
-            select_top_batch(self.bank(), self.queries(), 3, 2, [None] * n_excludes)
+            select_top_batch(self.bank(), self.queries(), 3, 2, np.full(shape, -1))
 
     def test_one_call_mixes_ties_exclusion_and_short_bucket(self):
         # row 0 ties five B keys at the 3rd score; row 1's excluded entry (A,
@@ -410,7 +415,9 @@ class TestSelectTopBatch:
         # 9-entry bucket holds and excludes one of them
         bank = self.bank()
         queries = np.vstack([KEY_A, KEY_A, KEY_C])
-        ks_and_excludes = [(3, [None, excl(bank, 3), None]), (12, [None, excl(bank, 3), excl(bank, 5)])]
+        ks_and_excludes = [
+            (3, [NO_PAIR, excl(bank, 3), NO_PAIR]), (12, [NO_PAIR, excl(bank, 3), excl(bank, 5)]),
+        ]
         for k, excludes in ks_and_excludes:
             out = select_top_batch(bank, queries, 3, k, excludes)
             for q, ex, (idx, scores) in zip(queries, excludes, out):
@@ -428,7 +435,7 @@ class TestSelectTopBatch:
         entries["anchor"] = 10 + np.arange(n) // 4 % 3
         entries["region_id"] = np.arange(n) % 2
         bank = bank_with_keys(entries, unit_keys(n, 8, seed=11))
-        excludes = [(10, 0), (11, 0), (11, 1), (99, 0), (10, 7), None]
+        excludes = [(10, 0), (11, 0), (11, 1), (99, 0), (10, 7), NO_PAIR]
         out = select_top_batch(bank, unit_keys(len(excludes), 8, seed=12), 0, n, excludes)
         assert [idx.size for idx, _ in out] == [8, 8, 12, 12, 12, 12]
         for ex, (idx, _) in zip(excludes, out):
@@ -446,7 +453,7 @@ class TestSelectTopBatch:
             bucket = bank.hour_index[hour]
             # odd rows exclude an entry of their own bucket; row 0 queries a stored key
             queries = unit_keys(6, 8, seed=200 + trial)
-            excludes = [None] * 6
+            excludes = [NO_PAIR] * 6
             if bucket.size:
                 queries[0] = keys[bucket[0]]
                 excludes[1::2] = [excl(bank, int(i)) for i in rng.choice(bucket, size=3)]
