@@ -7,12 +7,21 @@ file never runs code from it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
+
+
+def sha256_hex(array: np.ndarray) -> str:
+    """SHA-256 of a C-contiguous array's bytes, read in place through the
+    buffer protocol: the same digest as of `array.tobytes()`, with no copy."""
+    if not array.flags.c_contiguous:
+        raise ValueError("sha256_hex needs a C-contiguous array")
+    return hashlib.sha256(array).hexdigest()
 
 
 def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
@@ -24,8 +33,9 @@ def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
 def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarray]:
     """The header and body of a `fmt` file (`what` names it in errors).
 
-    Raises DataError when the file is missing, when its header is not a JSON
-    object of that format, or when its body is not one whole .npy array.
+    Raises DataError when the file is missing or cannot be read (a
+    directory, no permission), when its header is not a JSON object of that
+    format, or when its body is not one whole .npy array.
     """
     try:
         with open(path, "rb") as f:
@@ -37,5 +47,7 @@ def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarr
             return header, np.lib.format.read_array(f, allow_pickle=False)
     except FileNotFoundError:
         raise DataError(f"{what} file not found: {path}")
+    except OSError as e:
+        raise DataError(f"{what} file {path} cannot be read: {type(e).__name__}: {e.strerror}")
     except ValueError as e:
         raise DataError(f"{what} file {path} is malformed: {type(e).__name__}: {e}")

@@ -1,11 +1,16 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Each `Var` records its parents and a backward closure; `backward()` walks the
-implicit tape in reverse topological order and accumulates gradients into
-`Var.grad`. Inside `no_grad()` the same operations compute the same values
-but record no closure and skip the arrays only a backward pass reads, so
-forwards that are never differentiated (evaluation, key encoding) keep no
-backward state. Only the operations the forecasting model actually needs are
+Each `Var` records its parents and, when it needs gradients, a backward
+closure; `backward()` walks the implicit tape in reverse topological order and
+accumulates gradients into `Var.grad`. A `Var` needs gradients when it is a
+leaf made as `Var(x)` (a parameter, or a test's input), or when grad mode is on
+and some parent of the op that made it needs them. `constant()` and the raw
+arrays an op wraps never do. A result that needs none records no closure and
+skips the arrays only a backward pass reads, and closures and `backward()`
+skip the parents that need none, so no gradient is computed for data. Inside
+`no_grad()` nothing needs gradients: forwards that are never differentiated
+(evaluation, key encoding) compute the same values and keep no backward
+state. Only the operations the forecasting model actually needs are
 implemented. Learnable arrays live in a `ParamStore`, a flat name -> leaf Var
 registry that the optimizer and the finite-difference checker both iterate.
 """
@@ -22,15 +27,19 @@ from .errors import DegenerateEmbedding
 
 
 class Var:
-    """A node in the computation graph holding a float64 ndarray."""
+    """A node in the computation graph holding a float64 ndarray.
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    Made directly, it is a leaf that needs gradients; see `constant`.
+    """
 
-    def __init__(self, value, _parents: tuple = (), _backward=None):
+    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
+
+    def __init__(self, value, _parents: tuple = (), needs_grad: bool = True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        self.needs_grad = needs_grad
         self._parents = _parents
-        self._backward = _backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -54,7 +63,8 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Evaluate without a tape: ops inside record no backward closure.
+    """Evaluate without a tape: no result made inside needs gradients, so
+    none records a backward closure.
 
     Results keep their parent links, so the graph's shape stays inspectable,
     but `backward` from them reaches no leaf. The values are the taped ops'
@@ -70,12 +80,18 @@ def no_grad():
 
 
 def constant(x) -> Var:
-    """Wrap raw data as a leaf with no parents (gradients stop here)."""
-    return Var(x)
+    """Wrap raw data as a leaf that needs no gradient."""
+    return Var(x, needs_grad=False)
 
 
 def _to_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+    return x if isinstance(x, Var) else constant(x)
+
+
+def _result(value, parents: tuple) -> Var:
+    """An op's output: it needs gradients when grad mode is on and a parent
+    does (so a one-parent op's closure always feeds its parent)."""
+    return Var(value, parents, _grad_enabled and any(p.needs_grad for p in parents))
 
 
 def _accum(var: Var, g: np.ndarray) -> None:
@@ -113,7 +129,7 @@ def backward(root: Var) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p.needs_grad and id(p) not in visited:
                 stack.append((p, False))
     root.grad = np.ones_like(root.value)
     for node in reversed(topo):
@@ -127,13 +143,15 @@ def backward(root: Var) -> None:
 
 def add(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = Var(a.value + b.value, (a, b))
-    if not _grad_enabled:
+    out = _result(a.value + b.value, (a, b))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        if a.needs_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            _accum(b, _unbroadcast(g, b.value.shape))
 
     out._backward = _bw
     return out
@@ -141,13 +159,15 @@ def add(a, b) -> Var:
 
 def sub(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = Var(a.value - b.value, (a, b))
-    if not _grad_enabled:
+    out = _result(a.value - b.value, (a, b))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(-g, b.value.shape))
+        if a.needs_grad:
+            _accum(a, _unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            _accum(b, _unbroadcast(-g, b.value.shape))
 
     out._backward = _bw
     return out
@@ -155,13 +175,15 @@ def sub(a, b) -> Var:
 
 def mul(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = Var(a.value * b.value, (a, b))
-    if not _grad_enabled:
+    out = _result(a.value * b.value, (a, b))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
-        _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        _accum(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.needs_grad:
+            _accum(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.needs_grad:
+            _accum(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = _bw
     return out
@@ -169,13 +191,15 @@ def mul(a, b) -> Var:
 
 def matmul(a: Var, b: Var) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = Var(a.value @ b.value, (a, b))
-    if not _grad_enabled:
+    out = _result(a.value @ b.value, (a, b))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        if a.needs_grad:
+            _accum(a, g @ b.value.T)
+        if b.needs_grad:
+            _accum(b, a.value.T @ g)
 
     out._backward = _bw
     return out
@@ -188,14 +212,16 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     if b is not None:
         b = _to_var(b)
         value = value + b.value
-    out = Var(value, (x, w) if b is None else (x, w, b))
-    if not _grad_enabled:
+    out = _result(value, (x, w) if b is None else (x, w, b))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
-        _accum(x, g @ w.value)
-        _accum(w, (x.value.T @ g).T)
-        if b is not None:
+        if x.needs_grad:
+            _accum(x, g @ w.value)
+        if w.needs_grad:
+            _accum(w, (x.value.T @ g).T)
+        if b is not None and b.needs_grad:
             _accum(b, _unbroadcast(g, b.value.shape))
 
     out._backward = _bw
@@ -204,14 +230,16 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
 
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
     parts = [_to_var(p) for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
-    if not _grad_enabled:
+    out = _result(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
+    if not out.needs_grad:
         return out
     sizes = [p.value.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def _bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if not p.needs_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
@@ -222,8 +250,8 @@ def concat(parts: Sequence[Var], axis: int = 1) -> Var:
 
 def reshape(a: Var, shape: tuple) -> Var:
     a = _to_var(a)
-    out = Var(a.value.reshape(shape), (a,))
-    if not _grad_enabled:
+    out = _result(a.value.reshape(shape), (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
@@ -237,8 +265,8 @@ def take_rows(a: Var, idx) -> Var:
     """Gather rows of a 2D Var; repeated indices accumulate in the backward pass."""
     a = _to_var(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Var(a.value[idx], (a,))
-    if not _grad_enabled:
+    out = _result(a.value[idx], (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
@@ -260,10 +288,10 @@ def take_rows(a: Var, idx) -> Var:
 
 def relu(a: Var) -> Var:
     a = _to_var(a)
-    out = Var(np.maximum(a.value, 0.0), (a,))
-    if not _grad_enabled:
+    out = _result(np.maximum(a.value, 0.0), (a,))
+    if not out.needs_grad:
         return out
-    mask = (a.value > 0).astype(np.float64)
+    mask = a.value > 0
 
     def _bw(g):
         _accum(a, g * mask)
@@ -274,8 +302,8 @@ def relu(a: Var) -> Var:
 
 def gelu(a: Var) -> Var:
     a = _to_var(a)
-    out = Var(numerics.gelu(a.value), (a,))
-    if not _grad_enabled:
+    out = _result(numerics.gelu(a.value), (a,))
+    if not out.needs_grad:
         return out
     da = numerics.gelu_grad(a.value)
 
@@ -289,8 +317,8 @@ def gelu(a: Var) -> Var:
 def sigmoid(a: Var) -> Var:
     a = _to_var(a)
     s = numerics.sigmoid(a.value)
-    out = Var(s, (a,))
-    if not _grad_enabled:
+    out = _result(s, (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
@@ -302,8 +330,8 @@ def sigmoid(a: Var) -> Var:
 
 def absolute(a: Var) -> Var:
     a = _to_var(a)
-    out = Var(np.abs(a.value), (a,))
-    if not _grad_enabled:
+    out = _result(np.abs(a.value), (a,))
+    if not out.needs_grad:
         return out
     sgn = np.sign(a.value)
 
@@ -320,8 +348,8 @@ def absolute(a: Var) -> Var:
 
 def reduce_sum(a: Var, axis=None, keepdims: bool = False) -> Var:
     a = _to_var(a)
-    out = Var(a.value.sum(axis=axis, keepdims=keepdims), (a,))
-    if not _grad_enabled:
+    out = _result(a.value.sum(axis=axis, keepdims=keepdims), (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
@@ -343,8 +371,8 @@ def row_softmax(a: Var, temperature: float = 1.0) -> Var:
     """softmax(a / temperature) along axis 1."""
     a = _to_var(a)
     y = numerics.row_softmax(a.value, temperature)
-    out = Var(y, (a,))
-    if not _grad_enabled:
+    out = _result(y, (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):
@@ -363,8 +391,8 @@ def l2_normalize_rows(a: Var, eps: float = numerics.NORM_EPS) -> Var:
         bad = int(np.argmin(norms))
         raise DegenerateEmbedding(f"row {bad} has L2 norm {norms[bad, 0]!r}")
     y = a.value / norms
-    out = Var(y, (a,))
-    if not _grad_enabled:
+    out = _result(y, (a,))
+    if not out.needs_grad:
         return out
 
     def _bw(g):

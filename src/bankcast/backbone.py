@@ -10,16 +10,26 @@ residual, and a small MLP head maps node states to the forecast horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Var
 
+# A parameter's (name, shape, initializer); the initializer draws its value
+# from (rng, shape).
+ParamSpec = tuple[str, tuple[int, ...], Callable[[np.random.Generator, tuple], np.ndarray]]
 
-def glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
+
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    fan_out, fan_in = shape
     lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=(fan_out, fan_in))
+    return rng.uniform(-lim, lim, size=shape)
+
+
+def zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return np.zeros(shape)
 
 
 @dataclass
@@ -33,31 +43,39 @@ class BackboneParams:
     head_out_w: Var  # (H, hidden)
     head_out_b: Var
 
-    @classmethod
-    def init(cls, cfg, rng: np.random.Generator, store: ParamStore) -> "BackboneParams":
+    @staticmethod
+    def specs(cfg) -> list[ParamSpec]:
+        """Every parameter, in the order a new model draws them."""
         node_dim = cfg.d_z + cfg.d_g
-        gcn = [
-            store.register(f"backbone.gcn.{l}", glorot(rng, node_dim, node_dim))
-            for l in range(cfg.gcn_layers)
+        specs = [(f"backbone.gcn.{l}", (node_dim, node_dim), glorot) for l in range(cfg.gcn_layers)]
+        for i in range(cfg.head_blocks):
+            specs += [
+                (f"backbone.head.block{i}.w", (cfg.hidden, cfg.hidden), glorot),
+                (f"backbone.head.block{i}.b", (1, cfg.hidden), zeros),
+            ]
+        return specs + [
+            ("backbone.context_proj", (cfg.d_g, cfg.d_c), glorot),
+            ("backbone.temporal_proj", (cfg.d_z, cfg.window), glorot),
+            ("backbone.head.in.w", (cfg.hidden, node_dim), glorot),
+            ("backbone.head.in.b", (1, cfg.hidden), zeros),
+            ("backbone.head.out.w", (cfg.horizon, cfg.hidden), glorot),
+            ("backbone.head.out.b", (1, cfg.horizon), zeros),
         ]
-        blocks = [
-            (
-                store.register(f"backbone.head.block{i}.w", glorot(rng, cfg.hidden, cfg.hidden)),
-                store.register(f"backbone.head.block{i}.b", np.zeros((1, cfg.hidden))),
-            )
-            for i in range(cfg.head_blocks)
-        ]
+
+    @classmethod
+    def from_store(cls, cfg, store: ParamStore) -> "BackboneParams":
         return cls(
-            context_proj=store.register("backbone.context_proj", glorot(rng, cfg.d_g, cfg.d_c)),
-            temporal_proj=store.register(
-                "backbone.temporal_proj", glorot(rng, cfg.d_z, cfg.window)
-            ),
-            gcn=gcn,
-            head_in_w=store.register("backbone.head.in.w", glorot(rng, cfg.hidden, node_dim)),
-            head_in_b=store.register("backbone.head.in.b", np.zeros((1, cfg.hidden))),
-            blocks=blocks,
-            head_out_w=store.register("backbone.head.out.w", glorot(rng, cfg.horizon, cfg.hidden)),
-            head_out_b=store.register("backbone.head.out.b", np.zeros((1, cfg.horizon))),
+            context_proj=store["backbone.context_proj"],
+            temporal_proj=store["backbone.temporal_proj"],
+            gcn=[store[f"backbone.gcn.{l}"] for l in range(cfg.gcn_layers)],
+            head_in_w=store["backbone.head.in.w"],
+            head_in_b=store["backbone.head.in.b"],
+            blocks=[
+                (store[f"backbone.head.block{i}.w"], store[f"backbone.head.block{i}.b"])
+                for i in range(cfg.head_blocks)
+            ],
+            head_out_w=store["backbone.head.out.w"],
+            head_out_b=store["backbone.head.out.b"],
         )
 
 

@@ -210,22 +210,31 @@ def make_windows(
     horizon: int = DEFAULT_HORIZON,
     stride: int = 1,
 ) -> list[ForecastInstance]:
-    """One instance per anchor, full-ones masks, ordered by anchor ascending."""
+    """One instance per anchor, full-ones masks, ordered by anchor ascending.
+
+    Windowing copies nothing: each history and future is a slice of one
+    read-only view of `city.demand`, and every instance shares one read-only
+    ones mask. Writing to a window raises; the windows alias the demand, so
+    it must not be written after windowing.
+    """
     if stride < 1:
         raise DataError(f"stride must be >= 1, got {stride}")
     if window + horizon > city.t_total:
         raise DataError("window + horizon exceeds dataset length")
-    instances = []
-    for t in range(window - 1, city.t_total - horizon, stride):
-        instances.append(
-            ForecastInstance(
-                t=t,
-                history=city.demand[t - window + 1 : t + 1].copy(),
-                future=city.demand[t + 1 : t + horizon + 1].copy(),
-                mask=np.ones(city.n_regions),
-                hour=int(city.hour_of_interval[t]),
-            )
+    demand = city.demand.view()
+    demand.flags.writeable = False
+    mask = np.ones(city.n_regions)
+    mask.flags.writeable = False
+    instances = [
+        ForecastInstance(
+            t=t,
+            history=demand[t - window + 1 : t + 1],
+            future=demand[t + 1 : t + horizon + 1],
+            mask=mask,
+            hour=int(city.hour_of_interval[t]),
         )
+        for t in range(window - 1, city.t_total - horizon, stride)
+    ]
     if not instances:
         raise DataError("windowing produced no instances")
     return instances
@@ -259,24 +268,22 @@ def split_windows(
 
 
 def masked_view(instance: ForecastInstance, inactive: set[int] | list[int]) -> ForecastInstance:
-    """Copy with history columns of inactive regions zeroed and mask bits cleared.
+    """The instance with history columns of inactive regions zeroed and mask
+    bits cleared; the source is left untouched.
 
-    Futures are untouched: supervision may still use them for regions whose
-    futures are known during training.
+    Only the history and the mask are copied, and only when some region is
+    inactive (with none, the instance itself comes back). The future passes
+    through: supervision may still use it for regions whose futures are
+    known during training.
     """
     inactive = sorted(set(inactive))
+    if not inactive:
+        return instance
     history = instance.history.copy()
+    history[:, inactive] = 0.0
     mask = instance.mask.copy()
-    if inactive:
-        history[:, inactive] = 0.0
-        mask[inactive] = 0.0
-    return ForecastInstance(
-        t=instance.t,
-        history=history,
-        future=instance.future.copy(),
-        mask=mask,
-        hour=instance.hour,
-    )
+    mask[inactive] = 0.0
+    return replace(instance, history=history, mask=mask)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Var
+from .backbone import ParamSpec, zeros
 
 
 @dataclass
@@ -21,13 +22,18 @@ class FusionParams:
     gate: Var  # (H, 2H), zero init so the gate starts at 0.5 everywhere
     scale: Var  # (1, 1) learnable scalar, zero init
 
+    @staticmethod
+    def specs(cfg) -> list[ParamSpec]:
+        """Every parameter; none of them draws from the generator."""
+        return [
+            ("fusion.prior_proj", (cfg.horizon, cfg.horizon), lambda rng, shape: np.eye(shape[0])),
+            ("fusion.gate", (cfg.horizon, 2 * cfg.horizon), zeros),
+            ("fusion.scale", (1, 1), zeros),
+        ]
+
     @classmethod
-    def init(cls, cfg, store: ParamStore) -> "FusionParams":
-        return cls(
-            prior_proj=store.register("fusion.prior_proj", np.eye(cfg.horizon)),
-            gate=store.register("fusion.gate", np.zeros((cfg.horizon, 2 * cfg.horizon))),
-            scale=store.register("fusion.scale", np.zeros((1, 1))),
-        )
+    def from_store(cls, store: ParamStore) -> "FusionParams":
+        return cls(prior_proj=store["fusion.prior_proj"], gate=store["fusion.gate"], scale=store["fusion.scale"])
 
 
 def fuse(backbone_pred: Var, prior: Var, params: FusionParams, valid: np.ndarray) -> Var:

@@ -18,10 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, sha256_hex, write_artifact
 from .autodiff import ParamStore, Var
 from .backbone import (
     BackboneParams,
+    ParamSpec,
     build_adjacency,
     encode_history,
     forecast_head,
@@ -88,15 +89,26 @@ class ForwardResult:
     rows: list[RetrievalRow] | None = None  # per-region retrieval diagnostics (`forward` only)
 
 
+def param_specs(config: ModelConfig) -> list[ParamSpec]:
+    """Every parameter's (name, shape, initializer), in the order they are drawn."""
+    return BackboneParams.specs(config) + RetrieverParams.specs(config) + FusionParams.specs(config)
+
+
 class Model:
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0, store: ParamStore | None = None):
+        """A model with freshly drawn parameters, or with those of `store`,
+        which must hold `param_specs(config)`'s names and shapes."""
         config.validate()
         self.config = config
-        self.store = ParamStore()
-        rng = np.random.default_rng(seed)
-        self.backbone = BackboneParams.init(config, rng, self.store)
-        self.retriever = RetrieverParams.init(config, rng, self.store)
-        self.fusion = FusionParams.init(config, self.store)
+        if store is None:
+            store = ParamStore()
+            rng = np.random.default_rng(seed)
+            for name, shape, init in param_specs(config):
+                store.register(name, init(rng, shape))
+        self.store = store
+        self.backbone = BackboneParams.from_store(config, store)
+        self.retriever = RetrieverParams.from_store(store)
+        self.fusion = FusionParams.from_store(store)
         self.norm_mean = 0.0
         self.norm_std = 1.0
         # cold-start regions kept out of training and the bank, when known
@@ -130,22 +142,23 @@ class Model:
     def encode_entries(
         self, contexts: np.ndarray, histories_raw: np.ndarray, hours: np.ndarray
     ) -> np.ndarray:
-        """Key embeddings for bank entries (true histories, normalized).
+        """Key embeddings for bank entries (true histories, normalized), in
+        the given row order.
 
-        Encodes one hour's entries at a time and without a tape, so the peak
-        memory is one hour bucket's intermediates. Keys come back in the
-        given row order; on the 14,400- and 57,600-entry banks each matched
-        a whole-bank encoding bit for bit.
+        Encodes each run of equal hours as one contiguous slice, without a
+        tape: on the hour-major bank that is one slice per hour, so the peak
+        memory is one hour bucket's intermediates. On the 14,400- and
+        57,600-entry banks the keys matched a whole-bank encoding bit for bit.
         """
         hours = np.asarray(hours)
         keys = np.empty((len(hours), self.config.d_r))
+        starts = np.flatnonzero(np.diff(hours, prepend=-1)).tolist()
         with ad.no_grad():
-            for hour in np.unique(hours):
-                rows = np.flatnonzero(hours == hour)
-                keys[rows] = encode_retrieval(
-                    ad.constant(contexts[rows]),
-                    ad.constant(self.normalize(histories_raw[rows])),
-                    hours[rows],
+            for lo, hi in zip(starts, starts[1:] + [len(hours)]):
+                keys[lo:hi] = encode_retrieval(
+                    ad.constant(contexts[lo:hi]),
+                    ad.constant(self.normalize(histories_raw[lo:hi])),
+                    hours[lo:hi],
                     self.retriever,
                 ).value
         return keys
@@ -327,7 +340,7 @@ def save_checkpoint(model: Model, path: str | Path, config_hash: str | None = No
         "encoder_version": model.encoder_version(),
         "holdout": model.holdout,
         "params": [[name, list(model.store[name].value.shape)] for name in names],
-        "params_checksum": hashlib.sha256(body.tobytes()).hexdigest(),
+        "params_checksum": sha256_hex(body),
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
@@ -339,18 +352,29 @@ def load_checkpoint(path: str | Path) -> Model:
     if body.dtype != np.float64 or body.ndim != 1:
         raise DataError(f"checkpoint file {path} body is a {body.dtype} array of rank {body.ndim}")
     try:
-        model = Model(ModelConfig(**header["model_config"]))
-        model.set_norm(header["norm"]["mean"], header["norm"]["std"])
+        config = ModelConfig(**header["model_config"])
         params = header["params"]
         offsets = np.cumsum([0] + [int(np.prod(shape)) for _, shape in params]).tolist()
         if len({name for name, _ in params}) != len(params) or offsets[-1] != body.size:
             raise ValueError(f"the body's {body.size} values do not fit the header's parameter list")
-        if hashlib.sha256(body.tobytes()).hexdigest() != header.get("params_checksum"):
+        if sha256_hex(body) != header.get("params_checksum"):
             raise VersionMismatchError(f"checkpoint file {path} parameters do not match their checksum")
-        model.store.load_state_dict({
+        values = {
             name: body[lo:hi].reshape(shape)
             for (name, shape), lo, hi in zip(params, offsets[:-1], offsets[1:])
-        })
+        }
+        # the store is built from the stored values, in the model's own
+        # order, with no initialisation drawn
+        expected = {name: shape for name, shape, _ in param_specs(config)}
+        stored = {name: v.shape for name, v in values.items()}
+        if stored != expected:
+            differ = sorted(set(stored.items()) ^ set(expected.items()))
+            raise ValueError(f"(name, shape) pairs {differ} differ from the model config's")
+        store = ParamStore()
+        for name in expected:
+            store.register(name, values[name])
+        model = Model(config, store=store)
+        model.set_norm(header["norm"]["mean"], header["norm"]["std"])
         model.holdout = header.get("holdout")
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"checkpoint file {path} is malformed: {type(e).__name__}: {e}")

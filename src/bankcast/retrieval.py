@@ -20,7 +20,6 @@ key-side encoder.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,9 +27,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import numerics
-from .artifacts import read_artifact, write_artifact
+from .artifacts import read_artifact, sha256_hex, write_artifact
 from .autodiff import ParamStore, Var
-from .backbone import glorot
+from .backbone import ParamSpec, glorot, zeros
 from .data import ForecastInstance
 from .errors import DataError, VersionMismatchError
 
@@ -45,24 +44,31 @@ class RetrieverParams:
     psi_w2: Var  # (d_r, psi_hidden)
     psi_b2: Var
 
-    @classmethod
-    def init(cls, cfg, rng: np.random.Generator, store: ParamStore) -> "RetrieverParams":
-        return cls(
-            context_proj=store.register("retriever.context_proj", glorot(rng, cfg.d_ec, cfg.d_c)),
-            temporal_proj=store.register(
-                "retriever.temporal_proj", glorot(rng, cfg.d_ex, cfg.window + cfg.d_h)
-            ),
-            hour_table=store.register(
-                "retriever.hour_table", rng.normal(0.0, 0.1, size=(24, cfg.d_h))
-            ),
-            psi_w1=store.register(
-                "retriever.psi.w1", glorot(rng, cfg.psi_hidden, cfg.d_ec + cfg.d_ex)
-            ),
-            psi_b1=store.register("retriever.psi.b1", np.zeros((1, cfg.psi_hidden))),
-            psi_w2=store.register("retriever.psi.w2", glorot(rng, cfg.d_r, cfg.psi_hidden)),
+    @staticmethod
+    def specs(cfg) -> list[ParamSpec]:
+        """Every parameter, in the order a new model draws them."""
+        return [
+            ("retriever.context_proj", (cfg.d_ec, cfg.d_c), glorot),
+            ("retriever.temporal_proj", (cfg.d_ex, cfg.window + cfg.d_h), glorot),
+            ("retriever.hour_table", (24, cfg.d_h), lambda rng, shape: rng.normal(0.0, 0.1, size=shape)),
+            ("retriever.psi.w1", (cfg.psi_hidden, cfg.d_ec + cfg.d_ex), glorot),
+            ("retriever.psi.b1", (1, cfg.psi_hidden), zeros),
+            ("retriever.psi.w2", (cfg.d_r, cfg.psi_hidden), glorot),
             # nonzero output bias: a dead ReLU row must not reach the
             # normalizer with an exactly-zero embedding
-            psi_b2=store.register("retriever.psi.b2", rng.normal(0.0, 0.05, size=(1, cfg.d_r))),
+            ("retriever.psi.b2", (1, cfg.d_r), lambda rng, shape: rng.normal(0.0, 0.05, size=shape)),
+        ]
+
+    @classmethod
+    def from_store(cls, store: ParamStore) -> "RetrieverParams":
+        return cls(
+            context_proj=store["retriever.context_proj"],
+            temporal_proj=store["retriever.temporal_proj"],
+            hour_table=store["retriever.hour_table"],
+            psi_w1=store["retriever.psi.w1"],
+            psi_b1=store["retriever.psi.b1"],
+            psi_w2=store["retriever.psi.w2"],
+            psi_b2=store["retriever.psi.b2"],
         )
 
 
@@ -157,11 +163,7 @@ class MemoryBank:
         self.encoder_version = encoder_version
 
     def entry_checksum(self) -> str:
-        return _records_checksum(self.entries)
-
-
-def _records_checksum(entries: np.ndarray) -> str:
-    return hashlib.sha256(entries.tobytes()).hexdigest()
+        return sha256_hex(self.entries)
 
 
 def build_bank(
@@ -337,7 +339,7 @@ def load_bank(path: str | Path, expected_encoder_version: str | None = None) -> 
         raise DataError(f"bank file {path} header disagrees with entry count")
     # the header's checksum covers the records in file order, before
     # MemoryBank groups them by hour
-    checksum = _records_checksum(entries)
+    checksum = sha256_hex(entries)
     bank = MemoryBank(entries)
     if checksum != header.get("entry_checksum"):
         raise VersionMismatchError(f"bank file {path} content does not match its checksum")

@@ -63,7 +63,14 @@ class TrainConfig:
 
 
 class Adam:
-    """First/second-moment adaptive update over a ParamStore."""
+    """First/second-moment adaptive update over a ParamStore.
+
+    A parameter's moments start at zero at its first gradient. A parameter
+    that has never had one is skipped: with zero moments its update is
+    exactly +0.0, so skipping it keeps every value bit for bit (in a
+    graph-only run, no loss reaches the retriever or the fusion). Once it has
+    moments, a step without a gradient decays them as a zero gradient would.
+    """
 
     def __init__(
         self,
@@ -79,14 +86,19 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v.value) for k, v in store.items()}
-        self.v = {k: np.zeros_like(v.value) for k, v in store.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         for name, var in self.store.items():
+            if name not in self.m:
+                if var.grad is None:
+                    continue
+                self.m[name] = np.zeros_like(var.value)
+                self.v[name] = np.zeros_like(var.value)
             g = var.grad if var.grad is not None else np.zeros_like(var.value)
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)

@@ -218,6 +218,23 @@ def test_no_grad_graph_reaches_no_leaf():
     assert store["w"].grad is None and store["b"].grad is None
 
 
+def test_constants_get_no_gradient_and_constant_results_no_closure():
+    store = ad.ParamStore()
+    rng = np.random.default_rng(13)
+    w = store.register("w", rng.normal(size=(2, 4)))
+    x = ad.constant(rng.normal(size=(3, 4)))
+    data_only = ad.mul(ad.relu(x), 2.0)  # built from constants alone
+    assert not data_only.needs_grad and data_only._backward is None
+    h = ad.linear(data_only, w)
+    shifted = ad.add(h, np.ones((3, 2)))  # a raw array an op wraps
+    loss = ad.reduce_sum(ad.mul(shifted, ad.constant(rng.normal(size=(3, 2)))))
+    assert h.needs_grad and h._parents == (data_only, w)
+    ad.backward(loss)
+    assert w.grad is not None
+    constants = [x, data_only, shifted._parents[1], loss._parents[0]._parents[1]]
+    assert all(not c.needs_grad and c.grad is None for c in constants)
+
+
 def test_no_grad_restores_the_mode_after_an_exception_and_nests():
     a, _ = no_grad_inputs()
     with pytest.raises(RuntimeError):

@@ -348,6 +348,11 @@ def _narrower_city(path: Path) -> None:
     save_city(generate_synthetic_city(spec, name="source"), path)
 
 
+def _as_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
 def case(id: str, artifact: str, corrupt, code: int):
     return pytest.param(artifact, corrupt, code, id=id)
 
@@ -363,6 +368,7 @@ CORRUPTIONS = [
     case("bank-no-future-field", "bank.bin", lambda p: _edit_raw(p, body=_drop_future), 3),
     case("bank-float-flipped", "bank.bin", lambda p: _edit_raw(p, body=_flip_float_byte), 5),
     case("bank-hour-out-of-range", "bank.bin", _hour_out_of_range, 3),
+    case("bank-is-directory", "bank.bin", _as_directory, 3),
     case("ckpt-missing-param", "checkpoint.bin", _edit_ckpt(lambda h, p: p.pop("fusion.scale")), 3),
     case("ckpt-missing-model-config", "checkpoint.bin", _edit_ckpt(lambda h, p: h.pop("model_config")), 3),
     case("ckpt-missing-norm", "checkpoint.bin", _edit_ckpt(lambda h, p: h.pop("norm")), 3),
@@ -383,6 +389,7 @@ CORRUPTIONS = [
     case("ckpt-body-longer", "checkpoint.bin",
          lambda p: _edit_raw(p, body=_body_as(lambda a: np.append(a, 0.0))), 3),
     case("ckpt-float-flipped", "checkpoint.bin", lambda p: _edit_raw(p, body=_flip_float_byte), 5),
+    case("ckpt-is-directory", "checkpoint.bin", _as_directory, 3),
     case("dataset-not-object", "source.json", lambda p: p.write_text("[]"), 3),
     case("dataset-other-context-width", "source.json", _narrower_city, 5),
 ]
@@ -442,6 +449,11 @@ class TestCheckpointRoundTrip:
         assert header["format"] == "bankcast-checkpoint-v2"
         assert header["config_hash"] == "0123abcd"
         assert header["encoder_version"] == model.encoder_version()
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        save_checkpoint(self.model(), tmp_path / "checkpoint.bin")
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise
+        assert load_checkpoint(tmp_path / "checkpoint.bin").holdout == [4, 1, 9]
 
     def test_two_saves_are_byte_identical(self, tmp_path):
         model = self.model()

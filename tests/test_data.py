@@ -130,6 +130,18 @@ class TestWindows:
         inst = make_windows(city)
         assert all(np.all(fi.mask == 1.0) for fi in inst)
 
+    def test_windows_are_read_only_views_of_the_demand(self):
+        city = generate_synthetic_city(small_spec())
+        inst = make_windows(city)
+        for fi in (inst[0], inst[-1]):
+            assert np.shares_memory(fi.history, city.demand)
+            assert np.shares_memory(fi.future, city.demand)
+            for array in (fi.history, fi.future, fi.mask):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+        assert all(fi.mask is inst[0].mask for fi in inst)
+        assert city.demand.flags.writeable  # only the windows' view is read-only
+
 
 class TestSplits:
     def make_instances(self, n):
@@ -193,6 +205,18 @@ class TestMaskedView:
         twice = masked_view(once, {1, 3})
         assert np.array_equal(once.history, twice.history)
         assert np.array_equal(once.mask, twice.mask)
+
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_source_untouched(self, writeable):
+        fi = self.instance()
+        if writeable:
+            fi = ForecastInstance(fi.t, fi.history.copy(), fi.future.copy(), fi.mask.copy(), fi.hour)
+        history, mask = fi.history.copy(), fi.mask.copy()
+        out = masked_view(fi, {0, 2})
+        assert np.array_equal(fi.history, history) and np.array_equal(fi.mask, mask)
+        assert not np.shares_memory(out.history, fi.history)
+        assert not np.shares_memory(out.mask, fi.mask)
+        assert out.future is fi.future
 
     def test_future_untouched(self):
         fi = self.instance()

@@ -9,7 +9,9 @@ from bankcast.retrieval import MemoryBank, bank_entries
 def fusion_params(horizon=4, seed=None):
     store = ad.ParamStore()
     cfg = ModelConfig(d_c=3, horizon=horizon)
-    p = FusionParams.init(cfg, store)
+    for name, shape, init in FusionParams.specs(cfg):
+        store.register(name, init(None, shape))  # fusion draws nothing
+    p = FusionParams.from_store(store)
     if seed is not None:
         rng = np.random.default_rng(seed)
         p.prior_proj.value = rng.normal(size=p.prior_proj.value.shape)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bankcast.gradcheck import grad_check
 from bankcast.model import Model, ModelConfig
 from bankcast.retrieval import MemoryBank, bank_entries, build_bank, retrieve
 from bankcast.training import (
+    Adam,
     TrainConfig,
     batch_loss,
     combine_losses,
@@ -47,6 +50,43 @@ def toy_train_config(**kw) -> TrainConfig:
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def test_adam_matches_an_all_parameter_adam_bit_for_bit():
+    # "late" has no gradient for two steps, then one; "gap" has one, then
+    # none; "never" has none at all
+    rng = np.random.default_rng(21)
+    shapes = {"always": (3, 2), "late": (2, 2), "gap": (1, 4), "never": (2, 3)}
+    has_grad = {
+        "always": [True] * 5,
+        "late": [False, False, True, True, False],
+        "gap": [True, False, False, True, True],
+        "never": [False] * 5,
+    }
+    store = ad.ParamStore()
+    for name, shape in shapes.items():
+        store.register(name, rng.normal(size=shape))
+    values = store.state_dict()
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    optimizer = Adam(store, lr, b1, b2, eps)
+    for t in range(1, 6):
+        grads = {
+            name: rng.normal(size=shape) if has_grad[name][t - 1] else None
+            for name, shape in shapes.items()
+        }
+        for name, var in store.items():
+            var.grad = grads[name]
+        optimizer.step()
+        for name in shapes:  # every parameter moves, a missing gradient counting as zeros
+            g = grads[name] if grads[name] is not None else np.zeros(shapes[name])
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+            m_hat, v_hat = m[name] / (1.0 - b1**t), v[name] / (1.0 - b2**t)
+            values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert store[name].value.tobytes() == values[name].tobytes(), (t, name)
+    assert "never" not in optimizer.m
 
 
 class TestSampleActive:
@@ -167,6 +207,17 @@ class TestTrainLoop:
             assert np.array_equal(before[name], after[name]), name
         assert model.fusion.scale.value.item() == 0.0
 
+    def test_graph_only_leaves_retriever_and_fusion_untouched(self):
+        city = toy_city()
+        tr, va, _ = split_windows(make_windows(city))
+        model = toy_model(retrieval_enabled=False)
+        before = model.store.state_dict()
+        train(model, city, list(range(city.n_regions)), tr, va, toy_train_config(epochs=2))
+        after = model.store.state_dict()
+        idle = [name for name in before if name.startswith(("retriever.", "fusion."))]
+        assert idle and all(after[name].tobytes() == before[name].tobytes() for name in idle)
+        assert not np.array_equal(after["backbone.head.out.w"], before["backbone.head.out.w"])
+
     def test_determinism(self):
         _, r1 = self.run_toy()
         _, r2 = self.run_toy()
@@ -212,7 +263,8 @@ class TestTrainLoop:
         inst = tr[0]
         inactive = [1, 4]
         base, _, _ = instance_loss(model, inst, contexts, observable, inactive, None, cfg)
-        perturbed = tr[0]
+        # windows are read-only views of the demand, so perturb a copy
+        perturbed = dataclasses.replace(inst, future=inst.future.copy())
         perturbed.future[:, inactive] += 123.0
         after, _, _ = instance_loss(model, perturbed, contexts, observable, inactive, None, cfg)
         assert float(base.value) == float(after.value)
