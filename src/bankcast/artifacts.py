@@ -25,9 +25,14 @@ def sha256_hex(array: np.ndarray) -> str:
 
 
 def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        np.save(f, body, allow_pickle=False)
+    """Write `header` and `body` to `path`; raises DataError when the file
+    cannot be written (a directory, no permission, a full disk)."""
+    try:
+        with open(path, "wb") as f:
+            f.write((json.dumps(header, sort_keys=True) + "\n").encode())
+            np.save(f, body, allow_pickle=False)
+    except OSError as e:
+        raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
 
 
 def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarray]:

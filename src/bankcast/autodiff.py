@@ -282,6 +282,27 @@ def take_rows(a: Var, idx) -> Var:
     return out
 
 
+def picked_dots(q: Var, table: np.ndarray, picks: np.ndarray, value: np.ndarray) -> Var:
+    """(n, K) dot products q[i] · table[picks[i, j]], given as `value`.
+
+    The caller has already computed the dot products (top-K selection scores
+    them with one GEMM), so the forward reads no row of `table`; only the
+    backward gathers the picked rows, once. A -1 in `picks` marks padding:
+    its `value` is a constant and passes no gradient.
+    """
+    q = _to_var(q)
+    out = _result(value, (q,))
+    if not out.needs_grad:
+        return out
+
+    def _bw(g):
+        # padding gathers the last row, weighted by an exact 0
+        _accum(q, np.einsum("nk,nkd->nd", np.where(picks < 0, 0.0, g), table[picks]))
+
+    out._backward = _bw
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise nonlinearities
 

@@ -126,7 +126,9 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             doc = json.loads(Path(config_path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as e:
+        except OSError as e:  # a directory, no permission
+            raise ConfigError(f"config file {config_path} cannot be read: {type(e).__name__}: {e.strerror}")
+        except ValueError as e:  # not JSON, or not UTF-8 text
             raise ConfigError(f"config file {config_path} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {config_path}: the top level must be of type dict, got {doc!r}")

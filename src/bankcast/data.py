@@ -315,7 +315,9 @@ def load_city(path: str | Path) -> CityDataset:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
-    except json.JSONDecodeError as e:
+    except OSError as e:  # a directory, no permission
+        raise DataError(f"dataset file {path} cannot be read: {type(e).__name__}: {e.strerror}")
+    except ValueError as e:  # not JSON, or not UTF-8 text
         raise DataError(f"dataset file {path} is not valid JSON: {e}")
     try:
         rows, cols = doc["demand"]["rows"], doc["demand"]["cols"]

@@ -3,9 +3,11 @@
 One Model owns the parameter store, the normalization statistics (z-score over
 the source train split, stored in checkpoints), and the forward pass: a
 batch of forecasting instances over one arbitrary region set, stacked as
-region-major rows on one tape (a single instance is a batch of one). Scoring
-against the bank uses cached keys as constants; the alignment loss re-encodes
-its selected entries so both encoder sides receive gradients.
+region-major rows on one tape (a single instance is a batch of one). The
+prior's softmax reads the scores that top-K selection computed against the
+bank's cached keys, which are constants: only the backward gathers the
+selected keys, to send gradients into the queries. The alignment loss
+re-encodes its selected entries so both encoder sides receive gradients.
 """
 
 from __future__ import annotations
@@ -263,7 +265,7 @@ class Model:
         excludes = None
         if exclude_anchors is not None:
             excludes = np.stack([np.tile(exclude_anchors, n), np.asarray(region_ids)[region_of_row]], 1)
-        selected = np.full((n_rows, k), -1)
+        selected, scores = np.full((n_rows, k), -1), np.zeros((n_rows, k))
         for hour in np.unique(hours):
             rows = np.flatnonzero(row_hours == hour)
             picks = select_top_batch(
@@ -273,7 +275,8 @@ class Model:
             filled = np.zeros_like(selected, dtype=bool)
             filled[rows] = np.arange(k) < np.array([idx.size for idx, _ in picks])[:, None]
             selected[filled] = np.concatenate([idx for idx, _ in picks])
-        prior, valid, weights = self._dense_priors(queries, bank, selected, temperature)
+            scores[filled] = np.concatenate([top for _, top in picks])
+        prior, valid, weights = self._dense_priors(queries, bank, selected, temperature, scores)
         y_hat = fuse(y_tilde, prior, self.fusion, valid)
 
         l_ret = None
@@ -295,24 +298,25 @@ class Model:
         )
 
     def _dense_priors(
-        self, queries: Var, bank: MemoryBank, selected: np.ndarray, temperature: float
+        self, queries: Var, bank: MemoryBank, selected: np.ndarray, temperature: float, scores: np.ndarray
     ) -> tuple[Var, np.ndarray, np.ndarray]:
         """Priors, validity flags and (rows, k) weights of the (rows, k)
-        `selected` entries (-1 as padding), by one masked softmax.
+        `selected` entries (-1 as padding), by one masked softmax over their
+        (rows, k) selection `scores` (0.0 at padding).
 
-        A padded slot scores -inf, so its weight is exactly 0. A row without
+        The softmax reads the scores that selection computed: the forward
+        gathers no key, and `ad.picked_dots` gathers the selected keys only
+        in the backward, so gradients still flow into the queries. A padded
+        slot scores -inf, so its weight is exactly 0. A row without
         candidates keeps finite scores (all -inf would give NaN) over zero
-        futures, so its prior is 0 and passes no gradient. Rebuilding the
-        selected scores on the tape keeps gradients flowing into the queries.
+        futures, so its prior is 0 and passes no gradient.
         """
         n, k = selected.shape
         pad = selected < 0
         valid = ~pad[:, :1]  # selection fills a row from its first slot
-        flat_idx = selected.ravel()  # padding reads the last entry, then is masked
-        keys = ad.constant(bank.keys[flat_idx].reshape(n, k, -1))
-        scores = ad.reduce_sum(ad.mul(ad.reshape(queries, (n, 1, -1)), keys), axis=2)
-        scores = ad.add(scores, ad.constant(np.where(pad & valid, -np.inf, 0.0)))
-        futures = self.normalize(bank.futures[flat_idx]).reshape(n, k, -1) * valid[:, :, None]
+        scores = ad.picked_dots(queries, bank.keys, selected, np.where(pad & valid, -np.inf, scores))
+        # padding reads the last entry's future, then is masked
+        futures = self.normalize(bank.futures[selected.ravel()]).reshape(n, k, -1) * valid[:, :, None]
         alpha = ad.row_softmax(scores, temperature)
         prior = ad.reduce_sum(ad.mul(ad.reshape(alpha, (n, k, 1)), ad.constant(futures)), axis=1)
         return prior, valid.astype(float), np.where(pad, 0.0, alpha.value)

@@ -153,6 +153,44 @@ def test_take_rows_backward_matches_add_at(idx):
     assert np.array_equal(a.grad, expected)
 
 
+# (3, 2) picks into a 3-row table: a repeated row, padding, and a row of padding alone
+PICKS = np.array([[2, 0], [1, -1], [-1, -1]])
+
+
+def picked_values(q: np.ndarray, table: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """q[i] · table[picks[i, j]], one dot product at a time, 0.0 at padding."""
+    out = np.zeros(picks.shape)
+    for i, j in zip(*np.nonzero(picks >= 0)):
+        out[i, j] = q[i] @ table[picks[i, j]]
+    return out
+
+
+def test_picked_dots_gradient_matches_central_differences():
+    rng = np.random.default_rng(21)
+    store = ad.ParamStore()
+    q = store.register("q", rng.normal(size=(3, 4)))
+    table = rng.normal(size=(3, 4))
+    weights = ad.constant(rng.normal(size=PICKS.shape))
+    # the value is recomputed from q on each call, as selection does for a new query
+    fn = lambda: ad.reduce_sum(
+        ad.mul(ad.gelu(ad.picked_dots(q, table, PICKS, picked_values(q.value, table, PICKS))), weights)
+    )
+    assert_grads_close(fn, store)
+
+
+def test_picked_dots_padding_passes_exactly_zero_gradient():
+    rng = np.random.default_rng(22)
+    q = ad.Var(rng.normal(size=(3, 4)))
+    table = rng.normal(size=(3, 4))
+    g = rng.normal(size=PICKS.shape)  # a nonzero upstream gradient at every slot, padding too
+    out = ad.picked_dots(q, table, PICKS, picked_values(q.value, table, PICKS))
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    assert np.all(np.isfinite(q.grad))
+    assert np.array_equal(q.grad[2], np.zeros(4))  # a row of padding alone
+    assert np.array_equal(q.grad[1], g[1, 0] * table[1])  # its padded slot adds nothing
+    assert np.allclose(q.grad[0], g[0, 0] * table[2] + g[0, 1] * table[0], rtol=1e-15, atol=0.0)
+
+
 # every op on inputs whose values make each branch of it matter (negative
 # entries for relu/absolute, repeated rows for take_rows, ...)
 NO_GRAD_CASES = {
@@ -172,6 +210,7 @@ NO_GRAD_CASES = {
     "mean": lambda a, b: ad.mean(a, axis=1),
     "row_softmax": lambda a, b: ad.row_softmax(a, 0.3),
     "l2_normalize_rows": lambda a, b: ad.l2_normalize_rows(a),
+    "picked_dots": lambda a, b: ad.picked_dots(a, b.value, PICKS, picked_values(a.value, b.value, PICKS)),
 }
 
 

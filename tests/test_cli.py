@@ -104,6 +104,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config("/nonexistent/config.json", [])
 
+    # a directory, or a file that is not UTF-8 text, used to end in a traceback
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"\xff\xfe{}")])
+    def test_unreadable_config_file_exits_2(self, make, tmp_path, capsys):
+        make(tmp_path / "config.json")
+        assert run_cli("--config", str(tmp_path / "config.json"), "train", "--dry-run") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path / "config.json") in err
+
     # a value of the wrong JSON type, or a model width below 1, used to reach
     # the model or the selection and fail there with a traceback (exit 1);
     # a train value out of range was reported as a data error (exit 3); a
@@ -208,6 +216,25 @@ class TestTrain:
     def test_missing_dataset_exit_code(self, tmp_path, capsys):
         p = fast_config(tmp_path)
         assert run_cli("--config", str(p), "train") == 3
+
+    @pytest.mark.parametrize("make", [Path.mkdir, lambda p: p.write_bytes(b"\xff\xfe{}")])
+    def test_unreadable_dataset_exits_3(self, make, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        make(tmp_path / "unreadable.json")
+        dataset = f"paths.dataset={tmp_path / 'unreadable.json'}"
+        assert run_cli("--config", str(p), "--set", dataset, "train", "--dry-run") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path / "unreadable.json") in err
+
+    @pytest.mark.parametrize("artifact", ["checkpoint", "bank"])
+    def test_unwritable_artifact_exits_3(self, artifact, tmp_path, capsys):
+        # save_checkpoint / save_bank into a directory used to end the run in a traceback
+        p = fast_config(tmp_path)
+        run_cli("--config", str(p), "generate")
+        (tmp_path / f"{artifact}.bin").mkdir()
+        assert run_cli("--config", str(p), "train") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(tmp_path / f"{artifact}.bin") in err
 
     def test_train_writes_artifacts(self, tmp_path, capsys):
         p = fast_config(tmp_path)

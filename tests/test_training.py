@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bankcast import autodiff as ad
+from bankcast import model as model_module
+from bankcast import numerics
 from bankcast.data import (
     SyntheticSpec,
     generate_synthetic_city,
@@ -460,6 +462,38 @@ class TestForwardBatch:
                 # no row retrieves its own (anchor, region) entry
                 sel = sel[:m]
                 assert not np.any((bank.anchors[sel] == inst.t) & (bank.region_ids[sel] == obs[i]))
+
+    def test_weights_are_the_softmax_of_the_selection_scores(self, monkeypatch):
+        """The prior's softmax reads the scores that `select_top_batch`
+        returned: each row's weights are their softmax bit for bit, full and
+        padded rows alike."""
+        # 30 bank windows: one of the two hours holds fewer than k entries
+        model, instances, contexts, observable, bank = batch_setup(bank_windows=30)
+        select, calls = model_module.select_top_batch, []
+
+        def recording_select(*args):
+            calls.append((args[2], select(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(model_module, "select_top_batch", recording_select)
+        hours, k, temperature = [inst.hour for inst in instances], 8, 0.1
+        res = model.forward_batch(
+            contexts, np.stack([inst.history for inst in instances]), np.ones((len(instances), len(contexts))),
+            hours, bank=bank, k=k, temperature=temperature, exclude_anchors=[inst.t for inst in instances],
+        )
+        row_hours = np.tile(hours, len(observable))
+        assert sorted(hour for hour, _ in calls) == sorted(set(hours))
+        sizes = []
+        for hour, picks in calls:
+            rows = np.flatnonzero(row_hours == hour)
+            # the returned scores as padded (rows, k) logits, -inf at padding
+            logits = np.full((rows.size, k), -np.inf)
+            for i, (r, (idx, scores)) in enumerate(zip(rows, picks)):
+                assert np.array_equal(res.selected[r, :idx.size], idx)
+                logits[i, :idx.size] = scores
+                sizes.append(idx.size)
+            assert res.weights[rows].tobytes() == numerics.row_softmax(logits, temperature).tobytes()
+        assert len(sizes) == len(row_hours) and min(sizes) < k == max(sizes)
 
     def test_partly_filled_and_empty_rows(self):
         """k = 3 over hand-made hour buckets, rows excluding their own

@@ -13,7 +13,8 @@ digests of:
 - `keys`: the bank's keys after training (the graph-only arm has no bank);
 - `forecasts`: the 50 forecasts;
 - `state+forecasts`: the state dict then the forecasts, the digest that
-  earlier changes recorded (`45093554…` for the retrieval arm);
+  changes record (`a4787c12…` for the retrieval arm, since its prior reads
+  the selection's GEMM scores);
 - `all`: the state dict, the keys and the forecasts.
 
 A change that must keep every value bit for bit prints the same lines as its
