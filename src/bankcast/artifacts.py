@@ -35,6 +35,21 @@ def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
         raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
 
 
+def check_writable(path: str | Path) -> None:
+    """Raise DataError, naming `path`, unless it can be opened for writing.
+    Opening does not change an existing file, and a file the probe made is
+    removed again."""
+    path = Path(path)
+    existed = path.exists()
+    try:
+        with open(path, "ab"):
+            pass
+    except OSError as e:
+        raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
+    if not existed:
+        path.unlink()
+
+
 def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarray]:
     """The header and body of a `fmt` file (`what` names it in errors).
 

@@ -48,15 +48,6 @@ class Var:
     def __repr__(self):
         return f"Var(shape={self.value.shape})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 _grad_enabled = True
 
@@ -443,9 +434,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Var:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)

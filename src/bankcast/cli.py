@@ -17,6 +17,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .artifacts import check_writable
 from .data import (
     SyntheticSpec,
     check_split_ratios,
@@ -46,7 +47,7 @@ from .evaluation import (
 from .gradcheck import grad_check, toy_objective
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .retrieval import load_bank, save_bank
-from .training import TrainConfig, TrainResult, write_log_csv
+from .training import TrainConfig, write_log_csv
 
 
 def _field_defaults(cls, skip: tuple[str, ...]) -> dict:
@@ -241,15 +242,11 @@ def cmd_train(config: dict, dry_run: bool = False) -> int:
         tc.validate()
         print(f"dry run ok: {model.store.n_coords()} parameters over {len(model.store)} arrays")
         return 0
-    run = train_for_protocol(
-        city,
-        tc,
-        mc,
-        n_holdout=config["n_holdout"],
-        ratios=tuple(config["split_ratios"]),
-        window=config["window"],
-        horizon=config["horizon"],
-    )
+    # an artifact that cannot be written fails here, not after every epoch
+    check_writable(paths["checkpoint"])
+    if mc.retrieval_enabled:
+        check_writable(paths["bank"])
+    run = train_for_protocol(city, tc, mc, config["n_holdout"], tuple(config["split_ratios"]))
     save_checkpoint(run.model, paths["checkpoint"], config_hash=h)
     written = [paths["checkpoint"]]
     if run.bank is not None:
@@ -271,73 +268,60 @@ def _report_to_json(report: EvalReport, h: str) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _load_pretrained(config: dict):
-    """Load the checkpoint and, when its model retrieves, the bank; None when
-    there is no checkpoint. A retrieval checkpoint without its bank file is a
-    data error, and the bank must match the checkpoint's encoder."""
+def _load_pretrained(config: dict) -> ProtocolRun | None:
+    """The checkpoint and, when its model retrieves, the bank, as a run
+    without a training result; None when there is no checkpoint. A retrieval
+    checkpoint without its bank file is a data error, and the bank must match
+    the checkpoint's encoder."""
     paths = config["paths"]
     ckpt_path, bank_path = Path(paths["checkpoint"]), Path(paths["bank"])
     if not ckpt_path.exists():
         return None
     model = load_checkpoint(ckpt_path)
-    if not model.config.retrieval_enabled:
-        return model, None
-    bank, _ = load_bank(bank_path, expected_encoder_version=model.encoder_version())
-    model.refresh_bank(bank)
-    return model, bank
+    bank = None
+    if model.config.retrieval_enabled:
+        bank, _ = load_bank(bank_path, expected_encoder_version=model.encoder_version())
+        model.refresh_bank(bank)
+    return ProtocolRun(model=model, bank=bank, train_result=None, holdout=model.holdout)
 
 
 def cmd_eval(config: dict) -> int:
+    protocol = config["protocol"]
+    if protocol == "ablation":
+        return cmd_ablate(config)
     paths = config["paths"]
     report_dir = Path(paths["report_dir"])
     h = freeze_config(config, report_dir)
     city = load_city(paths["dataset"])
     mc = model_config(config, city.d_c)
     ratios = tuple(config["split_ratios"])
-    protocol = config["protocol"]
-    if protocol == "ablation":
-        return cmd_ablate(config)
     target = load_city(paths["dataset_target"]) if protocol == "transfer" else None
     pretrained = _load_pretrained(config)
     if pretrained is not None:
-        if pretrained[0].config != mc:
+        if pretrained.model.config != mc:
             raise VersionMismatchError(
                 "checkpoint was trained with a different model config than this config and dataset"
             )
         # a pretrained model and bank are only cold-start for the holdout they were trained on
-        trained_holdout = pretrained[0].holdout
         for seed in config["seeds"]:
             holdout = choose_holdout(city.n_regions, config["n_holdout"], seed)
-            if holdout != trained_holdout:
+            if holdout != pretrained.holdout:
                 raise VersionMismatchError(
                     f"seed {seed} holds out regions {holdout}, but the checkpoint was trained "
-                    f"with holdout {trained_holdout}; train one checkpoint per seed"
+                    f"with holdout {pretrained.holdout}; train one checkpoint per seed"
                 )
 
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
         seed_dir = report_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        run = None
-        if pretrained is not None:
-            model, bank = pretrained
-            holdout = model.holdout
-            observable = [i for i in range(city.n_regions) if i not in set(holdout)]
-            run = ProtocolRun(
-                model=model,
-                bank=bank,
-                train_result=TrainResult([], -1, float("nan"), bank, (model.norm_mean, model.norm_std)),
-                holdout=holdout,
-                observable=observable,
-            )
         if protocol == "coldstart":
-            report, run, preds, targets = run_coldstart(
-                city, tc, mc, config["n_holdout"], ratios, config["window"], config["horizon"], run=run
+            report, _, preds, targets = run_coldstart(
+                city, tc, mc, config["n_holdout"], ratios, run=pretrained
             )
         else:
-            report, run, preds, targets = run_transfer(
-                city, target, tc, mc, config["n_holdout"], ratios,
-                config["window"], config["horizon"], run=run,
+            report, _, preds, targets = run_transfer(
+                city, target, tc, mc, config["n_holdout"], ratios, run=pretrained
             )
         (seed_dir / "report.json").write_text(_report_to_json(report, h))
         write_curves_csv(seed_dir / "curves.csv", preds, targets, config_hash=h)
@@ -351,6 +335,9 @@ def cmd_eval(config: dict) -> int:
 
 
 def cmd_ablate(config: dict) -> int:
+    if not config["model"]["retrieval_enabled"]:
+        # without retrieval the loss weight has nothing to act on, and no prior to measure
+        raise ConfigError("the retrieval-loss ablation needs model.retrieval_enabled=true")
     paths = config["paths"]
     report_dir = Path(paths["report_dir"])
     h = freeze_config(config, report_dir)
@@ -360,9 +347,7 @@ def cmd_ablate(config: dict) -> int:
     ratios = tuple(config["split_ratios"])
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
-        result = run_ablation_lret(
-            source, target, tc, mc, config["n_holdout"], ratios, config["window"], config["horizon"]
-        )
+        result = run_ablation_lret(source, target, tc, mc, config["n_holdout"], ratios)
         seed_dir = report_dir / f"seed_{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         doc = {

@@ -208,7 +208,6 @@ def make_windows(
     city: CityDataset,
     window: int = DEFAULT_WINDOW,
     horizon: int = DEFAULT_HORIZON,
-    stride: int = 1,
 ) -> list[ForecastInstance]:
     """One instance per anchor, full-ones masks, ordered by anchor ascending.
 
@@ -217,8 +216,6 @@ def make_windows(
     ones mask. Writing to a window raises; the windows alias the demand, so
     it must not be written after windowing.
     """
-    if stride < 1:
-        raise DataError(f"stride must be >= 1, got {stride}")
     if window + horizon > city.t_total:
         raise DataError("window + horizon exceeds dataset length")
     demand = city.demand.view()
@@ -233,7 +230,7 @@ def make_windows(
             mask=mask,
             hour=int(city.hour_of_interval[t]),
         )
-        for t in range(window - 1, city.t_total - horizon, stride)
+        for t in range(window - 1, city.t_total - horizon)
     ]
     if not instances:
         raise DataError("windowing produced no instances")

@@ -5,8 +5,9 @@ Single-city cold-start: 10 seeded regions are held out of training entirely
 all regions with held-out histories zero-masked. Cross-city transfer: the same
 training recipe runs on a source city, then the model and its source-built
 bank are evaluated unchanged on a target city with 10 seeded target regions
-masked. Metrics are computed on raw (de-normalized) demand, flattened over
-instances, regions, and horizon steps.
+masked. Both build their report in one body, and both window the cities at
+the model config's window and horizon. Metrics are computed on raw
+(de-normalized) demand, flattened over instances, regions, and horizon steps.
 """
 
 from __future__ import annotations
@@ -90,17 +91,23 @@ def choose_holdout(n_regions: int, n_holdout: int, seed: int) -> list[int]:
     return sorted(rng.choice(n_regions, size=n_holdout, replace=False).tolist())
 
 
-def default_model_config(city: CityDataset, window: int, horizon: int, **overrides) -> ModelConfig:
-    return ModelConfig(d_c=city.d_c, window=window, horizon=horizon, **overrides)
+_SPLITS = ("train", "val", "test")
 
 
 @dataclass
 class ProtocolRun:
     model: Model
     bank: MemoryBank | None
-    train_result: TrainResult
+    train_result: TrainResult | None  # None when the model was loaded from a checkpoint
     holdout: list[int]
-    observable: list[int]
+
+
+def _windows(
+    city: CityDataset, config: ModelConfig, ratios: tuple[float, float, float]
+) -> dict[str, list[ForecastInstance]]:
+    """The city's train/val/test windows at the model's window and horizon."""
+    windows = make_windows(city, config.window, config.horizon)
+    return dict(zip(_SPLITS, split_windows(windows, ratios)))
 
 
 def train_for_protocol(
@@ -109,24 +116,15 @@ def train_for_protocol(
     model_config: ModelConfig,
     n_holdout: int = 10,
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    window: int = 24,
-    horizon: int = 24,
 ) -> ProtocolRun:
     """The shared single-city training phase: hold out cold-start regions, train the rest."""
     holdout = choose_holdout(city.n_regions, n_holdout, train_config.seed)
     observable = [i for i in range(city.n_regions) if i not in set(holdout)]
-    windows = make_windows(city, window, horizon)
-    train_inst, val_inst, _ = split_windows(windows, ratios)
+    windows = _windows(city, model_config, ratios)
     model = Model(model_config, seed=train_config.seed)
     model.holdout = holdout
-    result = train(model, city, observable, train_inst, val_inst, train_config)
-    return ProtocolRun(
-        model=model,
-        bank=result.bank,
-        train_result=result,
-        holdout=holdout,
-        observable=observable,
-    )
+    result = train(model, city, observable, windows["train"], windows["val"], train_config)
+    return ProtocolRun(model=model, bank=result.bank, train_result=result, holdout=holdout)
 
 
 def predict_city(
@@ -222,36 +220,50 @@ def _fusion_gain(extras: dict, cold: Metrics, observed: Metrics) -> dict:
     }
 
 
-def run_coldstart(
-    city: CityDataset,
+def _source_run(
+    source: CityDataset,
     train_config: TrainConfig,
-    model_config: ModelConfig | None = None,
-    n_holdout: int = 10,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    window: int = 24,
-    horizon: int = 24,
-    run: ProtocolRun | None = None,
-) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
-    """Train with held-out cold-start regions, evaluate on the full graph at test time."""
-    if model_config is None:
-        model_config = default_model_config(city, window, horizon)
+    model_config: ModelConfig | None,
+    n_holdout: int,
+    ratios: tuple[float, float, float],
+    run: ProtocolRun | None,
+) -> ProtocolRun:
+    """`run`, or a new run trained on `source`; either way, its bank holds
+    train-split anchors of `source` only (protocol isolation: no val/test
+    anchor may ever enter a memory bank)."""
     if run is None:
-        run = train_for_protocol(
-            city, train_config, model_config, n_holdout, ratios, window, horizon
-        )
-    _assert_bank_from_train_split(run.bank, city, ratios, window, horizon)
-    windows = make_windows(city, window, horizon)
-    _, _, test_inst = split_windows(windows, ratios)
+        if model_config is None:
+            model_config = ModelConfig(d_c=source.d_c)
+        run = train_for_protocol(source, train_config, model_config, n_holdout, ratios)
+    if run.bank is not None:
+        max_train_anchor = _windows(source, run.model.config, ratios)["train"][-1].t
+        bad = run.bank.anchors[run.bank.anchors > max_train_anchor]
+        if bad.size:
+            raise DataError(f"bank contains non-train anchors (first: {bad[0]})")
+    return run
+
+
+def _protocol_report(
+    protocol: str,
+    run: ProtocolRun,
+    source_name: str,
+    city: CityDataset,
+    masked: list[int],
+    instances: list[ForecastInstance],
+    eval_split: str,
+    train_config: TrainConfig,
+) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
+    """Forecast `instances` of `city` with `masked` zero-masked and report on
+    them: the one body of both protocols."""
     preds, targets, extras = predict_city(
-        run.model, city, test_inst, run.holdout, run.bank, train_config, collect_priors=True
+        run.model, city, instances, masked, run.bank, train_config, collect_priors=True
     )
-    overall, cold, obs, per_region = split_metrics(
-        preds, targets, run.holdout, city.n_regions
-    )
+    overall, cold, obs, per_region = split_metrics(preds, targets, masked, city.n_regions)
+    result = run.train_result
     report = EvalReport(
-        protocol="coldstart",
+        protocol=protocol,
         seed=train_config.seed,
-        holdout=run.holdout,
+        holdout=masked,
         overall=overall,
         coldstart_only=cold,
         observed_only=obs,
@@ -259,13 +271,38 @@ def run_coldstart(
         extras={
             **extras,
             **_fusion_gain(extras, cold, obs),
-            "best_epoch": run.train_result.best_epoch,
-            "best_val_mae": run.train_result.best_val_mae,
+            "source_city": source_name,
+            "target_city": city.name,
+            "source_holdout": run.holdout,
+            "eval_split": eval_split,
+            "best_epoch": None if result is None else result.best_epoch,
+            "best_val_mae": None if result is None else result.best_val_mae,
             "retrieval_enabled": run.model.config.retrieval_enabled,
         },
         config_echo={"train": asdict(train_config), "model": asdict(run.model.config)},
     )
     return report, run, preds, targets
+
+
+def run_coldstart(
+    city: CityDataset,
+    train_config: TrainConfig,
+    model_config: ModelConfig | None = None,
+    n_holdout: int = 10,
+    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    run: ProtocolRun | None = None,
+) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
+    """Train with held-out cold-start regions, evaluate on the full graph at test time.
+
+    Without `model_config`, the model takes `ModelConfig`'s defaults and the
+    city's context width; window and horizon always come from the model's
+    config.
+    """
+    run = _source_run(city, train_config, model_config, n_holdout, ratios, run)
+    test = _windows(city, run.model.config, ratios)["test"]
+    return _protocol_report(
+        "coldstart", run, city.name, city, run.holdout, test, "test", train_config
+    )
 
 
 def run_transfer(
@@ -275,8 +312,6 @@ def run_transfer(
     model_config: ModelConfig | None = None,
     n_holdout: int = 10,
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    window: int = 24,
-    horizon: int = 24,
     run: ProtocolRun | None = None,
     eval_split: str = "test",
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
@@ -290,45 +325,12 @@ def run_transfer(
         raise DataError(
             f"context dimensions differ: source {source_city.d_c}, target {target_city.d_c}"
         )
-    if model_config is None:
-        model_config = default_model_config(source_city, window, horizon)
-    if run is None:
-        run = train_for_protocol(
-            source_city, train_config, model_config, n_holdout, ratios, window, horizon
-        )
-    _assert_bank_from_train_split(run.bank, source_city, ratios, window, horizon)
-    holdout_target = choose_holdout(target_city.n_regions, n_holdout, train_config.seed)
-    windows = make_windows(target_city, window, horizon)
-    train_w, val_w, test_w = split_windows(windows, ratios)
-    eval_inst = {"train": train_w, "val": val_w, "test": test_w}[eval_split]
-    preds, targets, extras = predict_city(
-        run.model, target_city, eval_inst, holdout_target, run.bank, train_config,
-        collect_priors=True,
+    run = _source_run(source_city, train_config, model_config, n_holdout, ratios, run)
+    masked = choose_holdout(target_city.n_regions, n_holdout, train_config.seed)
+    instances = _windows(target_city, run.model.config, ratios)[eval_split]
+    return _protocol_report(
+        "transfer", run, source_city.name, target_city, masked, instances, eval_split, train_config
     )
-    overall, cold, obs, per_region = split_metrics(
-        preds, targets, holdout_target, target_city.n_regions
-    )
-    report = EvalReport(
-        protocol="transfer",
-        seed=train_config.seed,
-        holdout=holdout_target,
-        overall=overall,
-        coldstart_only=cold,
-        observed_only=obs,
-        per_region=per_region,
-        extras={
-            **extras,
-            **_fusion_gain(extras, cold, obs),
-            "source_city": source_city.name,
-            "target_city": target_city.name,
-            "source_holdout": run.holdout,
-            "eval_split": eval_split,
-            "best_epoch": run.train_result.best_epoch,
-            "retrieval_enabled": run.model.config.retrieval_enabled,
-        },
-        config_echo={"train": asdict(train_config), "model": asdict(run.model.config)},
-    )
-    return report, run, preds, targets
 
 
 def run_ablation_lret(
@@ -338,8 +340,6 @@ def run_ablation_lret(
     model_config: ModelConfig | None = None,
     n_holdout: int = 10,
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    window: int = 24,
-    horizon: int = 24,
 ) -> dict:
     """Paired transfer runs differing only in the retrieval-loss weight (vs 0).
 
@@ -351,10 +351,10 @@ def run_ablation_lret(
     for label, lam in (("with_ret_loss", train_config.lambda_ret), ("no_ret_loss", 0.0)):
         cfg = replace(train_config, lambda_ret=lam)
         report, run, _, _ = run_transfer(
-            source_city, target_city, cfg, model_config, n_holdout, ratios, window, horizon
+            source_city, target_city, cfg, model_config, n_holdout, ratios
         )
         val_report, _, _, _ = run_transfer(
-            source_city, target_city, cfg, model_config, n_holdout, ratios, window, horizon,
+            source_city, target_city, cfg, model_config, n_holdout, ratios,
             run=run, eval_split="val",
         )
         arms[label] = {
@@ -369,24 +369,6 @@ def run_ablation_lret(
         "prior_l2_delta": (arms["with_ret_loss"]["val_prior_future_l2"] or 0.0)
         - (arms["no_ret_loss"]["val_prior_future_l2"] or 0.0),
     }
-
-
-def _assert_bank_from_train_split(
-    bank: MemoryBank | None,
-    city: CityDataset,
-    ratios: tuple[float, float, float],
-    window: int,
-    horizon: int,
-) -> None:
-    """Protocol isolation: no val/test anchor may ever enter a memory bank."""
-    if bank is None:
-        return
-    windows = make_windows(city, window, horizon)
-    train_inst, _, _ = split_windows(windows, ratios)
-    max_train_anchor = max(i.t for i in train_inst)
-    bad = bank.anchors[bank.anchors > max_train_anchor]
-    if bad.size:
-        raise DataError(f"bank contains non-train anchors (first: {bad[0]})")
 
 
 def write_curves_csv(

@@ -48,13 +48,7 @@ def row_softmax(m, temperature: float = 1.0):
     if temperature <= 0:
         raise ValueError(f"softmax temperature must be positive, got {temperature}")
     m = _as_f64(m)
-    if m.ndim == 1:
-        m = m[None, :]
-        squeeze = True
-    else:
-        squeeze = False
     z = (m - m.max(axis=1, keepdims=True)) / temperature
     e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-    return out[0] if squeeze else out
+    return e / e.sum(axis=1, keepdims=True)
 

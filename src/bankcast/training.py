@@ -266,7 +266,6 @@ class TrainResult:
     best_epoch: int
     best_val_mae: float
     bank: MemoryBank | None
-    norm_stats: tuple[float, float]
 
 
 def train(
@@ -371,11 +370,7 @@ def train(
     if bank is not None:
         model.refresh_bank(bank)  # keys must match the restored parameters
     return TrainResult(
-        log_rows=log_rows,
-        best_epoch=best_epoch,
-        best_val_mae=float(best_val),
-        bank=bank,
-        norm_stats=(model.norm_mean, model.norm_std),
+        log_rows=log_rows, best_epoch=best_epoch, best_val_mae=float(best_val), bank=bank
     )
 
 

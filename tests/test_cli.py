@@ -65,6 +65,18 @@ def run_cli(*args) -> int:
     return main(list(args))
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_reports(tmp_path):
+    """Every report.json and ablation.json a test writes is strict JSON: no NaN or Infinity."""
+    yield
+    for path in [*tmp_path.rglob("report.json"), *tmp_path.rglob("ablation.json")]:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 class TestConfigResolution:
     def test_defaults_merged(self, tmp_path):
         p = fast_config(tmp_path)
@@ -226,15 +238,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "data error" in err and str(tmp_path / "unreadable.json") in err
 
-    @pytest.mark.parametrize("artifact", ["checkpoint", "bank"])
-    def test_unwritable_artifact_exits_3(self, artifact, tmp_path, capsys):
-        # save_checkpoint / save_bank into a directory used to end the run in a traceback
+    @pytest.mark.parametrize("artifact,unwritable", [
+        pytest.param("checkpoint", "directory", id="checkpoint"),
+        pytest.param("bank", "directory", id="bank"),
+        pytest.param("checkpoint", "missing-parent", id="checkpoint-missing-parent"),
+        pytest.param("bank", "missing-parent", id="bank-missing-parent"),
+    ])
+    def test_unwritable_artifact_exits_3(self, artifact, unwritable, tmp_path, capsys):
+        # found before the first epoch, not after the last one; the probe leaves no file
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
-        (tmp_path / f"{artifact}.bin").mkdir()
-        assert run_cli("--config", str(p), "train") == 3
-        err = capsys.readouterr().err
-        assert "data error" in err and str(tmp_path / f"{artifact}.bin") in err
+        path = tmp_path / f"{artifact}.bin"
+        if unwritable == "directory":
+            path.mkdir()
+        else:
+            path = tmp_path / "missing" / f"{artifact}.bin"
+        before = set(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli("--config", str(p), "--set", f"paths.{artifact}={path}", "train") == 3
+        out, err = capsys.readouterr()
+        assert "data error" in err and str(path) in err
+        assert "trained seed" not in out
+        assert not (tmp_path / "runs" / "training_log.csv").exists()
+        assert set(tmp_path.rglob("*")) == before
 
     def test_train_writes_artifacts(self, tmp_path, capsys):
         p = fast_config(tmp_path)
@@ -507,7 +533,8 @@ class TestHoldoutGuard:
         assert "holds out regions" in capsys.readouterr().err
         assert run_cli(*graph_only, "eval") == 0
         report = json.loads((tmp_path / "runs" / "seed_1" / "report.json").read_text())
-        assert report["extras"]["best_epoch"] == -1  # the checkpoint was used, not retrained
+        # the checkpoint was used, not retrained: there is no training result to report
+        assert report["extras"]["best_epoch"] is None and report["extras"]["best_val_mae"] is None
 
     def test_missing_bank_exits_3_without_retraining(self, trained_artifacts, tmp_path, capsys):
         p = copy_artifacts(trained_artifacts, tmp_path)
@@ -536,6 +563,17 @@ class TestAblate:
         assert doc["arms"]["no_ret_loss"]["lambda_ret"] == 0.0
         assert doc["arms"]["with_ret_loss"]["test"]["seed"] == 1
         assert doc["arms"]["no_ret_loss"]["test"]["seed"] == 1
+
+    @pytest.mark.parametrize("command", ["ablate", "eval"])
+    def test_retrieval_off_is_a_config_error(self, command, tmp_path, capsys):
+        # it used to train both arms, then end in a TypeError formatting a None prior L2
+        p = fast_config(tmp_path, protocol="ablation")
+        run_cli("--config", str(p), "generate")
+        capsys.readouterr()
+        assert run_cli("--config", str(p), "--set", "model.retrieval_enabled=false", command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "retrieval_enabled" in err
+        assert not (tmp_path / "runs" / "seed_1").exists()
 
 
 class TestGradCheckCommand:

@@ -121,10 +121,6 @@ class TestWindows:
             assert np.array_equal(fi.history, city.demand[fi.t - w + 1 : fi.t + 1])
         assert np.array_equal(rebuilt[w:], city.demand[w:])
 
-    def test_stride(self):
-        city = generate_synthetic_city(small_spec(t_total=60))
-        assert len(make_windows(city, stride=3)) == len(range(23, 36, 3))
-
     def test_masks_start_full(self):
         city = generate_synthetic_city(small_spec())
         inst = make_windows(city)

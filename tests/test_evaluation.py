@@ -169,6 +169,17 @@ class TestColdstartProtocol:
         # contexts identical, histories of masked regions zeroed before use
         assert np.array_equal(preds, preds2)
 
+    def test_window_and_horizon_come_from_the_model_config(self):
+        # a 12-step model on default 24-step windows used to fail inside a matmul
+        city = small_city()
+        report, run, preds, _ = run_coldstart(
+            city, quick_train_config(epochs=1), small_model_config(window=12, horizon=12), n_holdout=3
+        )
+        train, _, test = split_windows(make_windows(city, 12, 12))
+        assert preds.shape == (len(test), city.n_regions, 12)
+        assert run.bank.anchors.max() <= train[-1].t
+        assert report.config_echo["model"]["window"] == 12
+
 
 def serving_setup(retrieval=True, bank_windows=None, bank_regions=None):
     """An untrained model whose fusion is switched on, a bank, and 21 test windows."""
@@ -294,6 +305,9 @@ class TestTransferProtocol:
         assert np.array_equal(preds_cold, preds_tr)
         assert rep_cold.overall.mae == rep_tr.overall.mae
         assert rep_cold.holdout == rep_tr.holdout
+        # one report body: the same extras, down to the names of both cities
+        assert rep_cold.extras == rep_tr.extras
+        assert rep_cold.extras["source_city"] == rep_cold.extras["target_city"] == "source"
 
     def test_context_dim_mismatch_rejected(self):
         source, _ = self.pair()
