@@ -23,6 +23,7 @@ from .data import (
     check_split_ratios,
     generate_synthetic_city,
     load_city,
+    make_transfer_pair,
     make_windows,
     save_city,
     split_windows,
@@ -51,7 +52,12 @@ from .training import TrainConfig, write_log_csv
 
 
 def _field_defaults(cls, skip: tuple[str, ...]) -> dict:
-    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+    """A config dataclass's defaults by field name, tuples as JSON lists."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in fields(cls)
+        if f.name not in skip
+    }
 
 
 DEFAULT_CONFIG: dict = {
@@ -68,19 +74,10 @@ DEFAULT_CONFIG: dict = {
         "bank": "runs/bank.bin",
         "report_dir": "runs",
     },
-    "synthetic": {
-        "n_regions": 30,
-        "d_c": 16,
-        "n_archetypes": 4,
-        "t_total": 4281,
-        "noise_scale": 0.3,
-        "seed": 1,
-        "scale_range": [8.0, 20.0],
-        "target_seed": 101,
-    },
-    # the model and train blocks take their defaults from the config
-    # dataclasses; the city fixes d_c, the top level window and horizon,
-    # and each seed of `seeds` the training seed
+    # the synthetic, model and train blocks take their defaults from the
+    # config dataclasses; the city fixes d_c, the top level window and
+    # horizon, and each seed of `seeds` the training seed
+    "synthetic": {**_field_defaults(SyntheticSpec, ("seed",)), "seed": 1, "target_seed": 101},
     "model": _field_defaults(ModelConfig, ("d_c", "window", "horizon")),
     "train": _field_defaults(TrainConfig, ("seed",)),
 }
@@ -182,17 +179,9 @@ def freeze_config(config: dict, report_dir: Path) -> str:
     return h
 
 
-def synthetic_spec(config: dict, seed_override: int | None = None) -> SyntheticSpec:
-    s = config["synthetic"]
-    return SyntheticSpec(
-        n_regions=s["n_regions"],
-        d_c=s["d_c"],
-        n_archetypes=s["n_archetypes"],
-        t_total=s["t_total"],
-        noise_scale=s["noise_scale"],
-        seed=s["seed"] if seed_override is None else seed_override,
-        scale_range=tuple(s["scale_range"]),
-    )
+def synthetic_spec(config: dict) -> SyntheticSpec:
+    s = {k: v for k, v in config["synthetic"].items() if k != "target_seed"}
+    return SyntheticSpec(**{**s, "scale_range": tuple(s["scale_range"])})
 
 
 def model_config(config: dict, d_c: int) -> ModelConfig:
@@ -213,18 +202,17 @@ def cmd_generate(config: dict) -> int:
     report_dir = Path(paths["report_dir"])
     h = freeze_config(config, report_dir)
     spec = synthetic_spec(config)
-    city = generate_synthetic_city(spec, name="source")
+    if config["protocol"] in ("transfer", "ablation"):
+        city, target = make_transfer_pair(spec, config["synthetic"]["target_seed"])
+    else:
+        city, target = generate_synthetic_city(spec, name="source"), None
     Path(paths["dataset"]).parent.mkdir(parents=True, exist_ok=True)
     save_city(city, paths["dataset"], config_hash=h)
     windows = make_windows(city, config["window"], config["horizon"])
     tr, va, te = split_windows(windows, tuple(config["split_ratios"]))
     print(f"wrote {paths['dataset']}: {city.n_regions} regions, {city.t_total} intervals")
     print(f"windows {len(windows)} -> train/val/test {len(tr)}/{len(va)}/{len(te)}")
-    if config["protocol"] in ("transfer", "ablation"):
-        target = generate_synthetic_city(
-            synthetic_spec(config, seed_override=config["synthetic"]["target_seed"]),
-            name="target",
-        )
+    if target is not None:
         save_city(target, paths["dataset_target"], config_hash=h)
         print(f"wrote {paths['dataset_target']}: {target.n_regions} regions")
     return 0

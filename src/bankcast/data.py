@@ -42,7 +42,6 @@ class CityDataset:
     regions: list[Region]
     demand: np.ndarray  # (T_total, N) nonnegative order counts per interval
     hour_of_interval: np.ndarray  # (T_total,) ints in [0, 24)
-    split_boundaries: tuple[int, int]  # (train_end, val_end) anchor-time indices
     archetypes: np.ndarray | None = None  # generator ground truth, kept for analysis
 
     @property
@@ -75,9 +74,6 @@ class CityDataset:
         diffs = np.diff(self.hour_of_interval) % 24
         if self.t_total > 1 and not np.all(diffs == 1):
             raise DataError("hour_of_interval must increment by 1 mod 24")
-        train_end, val_end = self.split_boundaries
-        if not (0 <= train_end < val_end <= self.t_total):
-            raise DataError(f"bad split boundaries {self.split_boundaries}")
 
 
 @dataclass
@@ -180,20 +176,11 @@ def generate_synthetic_city(spec: SyntheticSpec, name: str = "synthetic") -> Cit
     demand = np.maximum(base + noise, 0.0)
 
     regions = [Region(id=i, context=contexts[i].copy()) for i in range(n)]
-    n_windows = spec.t_total - DEFAULT_WINDOW - DEFAULT_HORIZON + 1
-    # ratio-derived anchor boundaries, clamped so tiny datasets stay valid
-    n_train = max(1, round(n_windows * DEFAULT_SPLIT_RATIOS[0]))
-    n_val = round(n_windows * DEFAULT_SPLIT_RATIOS[1])
-    first_anchor = DEFAULT_WINDOW - 1
-    train_end = first_anchor + n_train
-    val_end = min(max(train_end + n_val, train_end + 1), spec.t_total)
-
     city = CityDataset(
         name=name,
         regions=regions,
         demand=demand,
         hour_of_interval=hour_of_interval,
-        split_boundaries=(train_end, val_end),
         archetypes=archetypes,
     )
     city.validate()
@@ -298,7 +285,6 @@ def save_city(city: CityDataset, path: str | Path, config_hash: str | None = Non
             "values": city.demand.reshape(-1).tolist(),
         },
         "hour0": int(city.hour_of_interval[0]),
-        "split_boundaries": list(city.split_boundaries),
     }
     if city.archetypes is not None:
         doc["archetypes"] = city.archetypes.tolist()
@@ -330,7 +316,6 @@ def load_city(path: str | Path) -> CityDataset:
             regions=regions,
             demand=demand,
             hour_of_interval=hour_of_interval,
-            split_boundaries=tuple(doc["split_boundaries"]),
             archetypes=archetypes,
         )
     except (KeyError, TypeError, ValueError) as e:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import (
     CityDataset,
     ForecastInstance,
@@ -26,9 +25,9 @@ from .data import (
     split_windows,
 )
 from .errors import DataError
-from .model import Model, ModelConfig, region_major
+from .model import ForwardResult, Model, ModelConfig, region_major
 from .retrieval import MemoryBank
-from .training import TrainConfig, TrainResult, train
+from .training import TrainConfig, TrainResult, forecast_chunks, train
 
 
 @dataclass
@@ -138,48 +137,39 @@ def predict_city(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Raw predictions/targets of shape (n_instances, N, H) over the full region graph.
 
-    Forwards `train_config.batch_size` consecutive instances at a time,
-    without a tape, in chunks taken from index 0 as `validation_metrics`
-    takes them. A forecast's last bits can depend on how many rows its chunk
-    stacks, so fixed chunks make a prefix of whole chunks reproduce the first
-    forecasts of a longer run bit for bit. With `collect_priors`, extras hold
-    the mean L2 between each retrieving region's prior and its true future,
-    and the MAE of the backbone forecast (`y_tilde`, from the same forward)
-    over the masked and over the observed regions.
+    Forecasts by `forecast_chunks`, as `validation_metrics` does, writing
+    each chunk into arrays allocated up front. With `collect_priors`, extras
+    hold the mean L2 between each retrieving region's prior and its true
+    future, and the MAE of the backbone forecast (`y_tilde`, from the same
+    forward) over the masked and over the observed regions.
     """
-    contexts = city.contexts()
     preds = np.empty((len(instances), city.n_regions, model.config.horizon))
     backbone = np.empty_like(preds) if collect_priors else None
-    prior_l2 = []
-    with ad.no_grad():
-        for start in range(0, len(instances), train_config.batch_size):
-            chunk = instances[start : start + train_config.batch_size]
-            views = [masked_view(inst, masked_regions) for inst in chunk]
-            res = model.forward_batch(
-                contexts,
-                np.stack([v.history for v in views]),
-                np.stack([v.mask for v in views]),
-                [v.hour for v in views],
-                bank=bank,
-                k=train_config.k,
-                temperature=train_config.temperature,
-            )
-            out = slice(start, start + len(chunk))
-            preds[out] = _instance_major(model.denormalize(res.y_hat.value), len(chunk))
-            if collect_priors:
-                backbone[out] = _instance_major(model.denormalize(res.y_tilde.value), len(chunk))
-            if collect_priors and res.prior is not None:
-                # the fused prior, back on the raw scale: each retrieving
-                # row's weights over its selected entries' stored futures
-                rows = np.flatnonzero(res.valid[:, 0])
-                prior = model.denormalize(res.prior.value[rows])
-                futures = region_major(np.stack([inst.future for inst in chunk]))[rows]
-                prior_l2.append(np.linalg.norm(prior - futures, axis=1))
-            del res  # its graph: freed before the next chunk's forward
+
+    def write(start: int, chunk: list[ForecastInstance], res: ForwardResult) -> np.ndarray | None:
+        out = slice(start, start + len(chunk))
+        preds[out] = _instance_major(model.denormalize(res.y_hat.value), len(chunk))
+        if not collect_priors:
+            return None
+        backbone[out] = _instance_major(model.denormalize(res.y_tilde.value), len(chunk))
+        if res.prior is None:
+            return None
+        # the fused prior, back on the raw scale: each retrieving row's
+        # weights over its selected entries' stored futures
+        rows = np.flatnonzero(res.valid[:, 0])
+        prior = model.denormalize(res.prior.value[rows])
+        futures = region_major(np.stack([inst.future for inst in chunk]))[rows]
+        return np.linalg.norm(prior - futures, axis=1)
+
+    def view(inst: ForecastInstance) -> ForecastInstance:
+        return masked_view(inst, masked_regions)
+
+    regions = np.arange(city.n_regions)
+    prior_l2 = forecast_chunks(model, instances, view, city.contexts(), regions, bank, train_config, write)
     targets = np.stack([inst.future.T for inst in instances])
     extras = {}
     if collect_priors:
-        l2 = np.concatenate(prior_l2) if prior_l2 else np.empty(0)
+        l2 = np.concatenate([np.empty(0), *(d for d in prior_l2 if d is not None)])
         extras["prior_future_l2"] = float(l2.mean()) if l2.size else None
         extras["prior_count"] = int(l2.size)
         masked = list(masked_regions)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +52,6 @@ class TrainConfig:
     eps: float = 1e-8
     clip_norm: float = 5.0
     patience: int = 10
-    supervise_inactive: bool = True
 
     def validate(self) -> None:
         if self.lambda_ret < 0:
@@ -202,15 +202,8 @@ def batch_loss(
         exclude_anchors=[inst.t for inst in instances],
         true_futures=futures_raw if bank is not None else None,
     )
-    if config.supervise_inactive:
-        supervise = np.arange(len(observable))
-    else:
-        inactive_set = set(inactive)
-        supervise = np.array(
-            [i for i, rid in enumerate(observable) if rid not in inactive_set], dtype=np.intp
-        )
-    rows = (supervise[:, None] * len(instances) + np.arange(len(instances))).reshape(-1)
-    l_pred = masked_l1(res.y_hat, model.normalize(region_major(futures_raw)), rows)
+    target = model.normalize(region_major(futures_raw))
+    l_pred = masked_l1(res.y_hat, target, np.arange(len(target)))
     total = combine_losses(l_pred, res.l_ret, config.lambda_ret)
     return total, l_pred, res.l_ret
 
@@ -228,6 +221,36 @@ def instance_loss(
     return batch_loss(model, [instance], contexts, observable, inactive, bank, config)
 
 
+def forecast_chunks(
+    model: Model,
+    instances: list[ForecastInstance],
+    view: Callable[[ForecastInstance], ForecastInstance],
+    contexts: np.ndarray,
+    observable: np.ndarray,
+    bank: MemoryBank | None,
+    config: TrainConfig,
+    consume: Callable[[int, list[ForecastInstance], ForwardResult], object],
+) -> list:
+    """`consume(start, chunk, result)` of each chunk of `config.batch_size`
+    consecutive instances, taken from index 0, in order.
+
+    Each chunk's instances pass through `view` (the caller's masking) as the
+    chunk is drawn, and the chunk is forwarded over the `observable` regions
+    without a tape. A forecast's last bits can depend on how many rows its
+    chunk stacks, so fixed chunks make a prefix of whole chunks reproduce the
+    first forecasts of a longer run bit for bit. A result still links its
+    graph, so it is dropped before the next chunk's forward.
+    """
+    out = []
+    with ad.no_grad():
+        for start in range(0, len(instances), config.batch_size):
+            chunk = instances[start : start + config.batch_size]
+            res = _forward_views(model, [view(inst) for inst in chunk], contexts, observable, bank, config)
+            out.append(consume(start, chunk, res))
+            del res
+    return out
+
+
 def validation_metrics(
     model: Model,
     val_instances: list[ForecastInstance],
@@ -237,26 +260,30 @@ def validation_metrics(
     config: TrainConfig,
     val_inactive: list[int] | None = None,
 ) -> tuple[float, float]:
-    """Raw-scale MAE/RMSE over observable regions, forwarding `batch_size`
-    instances at a time without a tape.
+    """Raw-scale MAE/RMSE over observable regions, forecast by `forecast_chunks`.
 
     When `val_inactive` is given, those regions' histories are zero-masked so
     the score (and therefore checkpoint selection) rewards cold-start skill,
     not just autoregression on fully observed regions.
     """
     obs = np.asarray(observable)
+
+    def error_sums(start: int, chunk: list[ForecastInstance], res: ForwardResult):
+        err = model.denormalize(res.y_hat.value) - region_major(
+            np.stack([inst.future[:, obs] for inst in chunk])
+        )
+        return float(np.abs(err).sum()), float((err * err).sum()), err.size
+
+    def view(inst: ForecastInstance) -> ForecastInstance:
+        return masked_view(inst, val_inactive) if val_inactive else inst
+
     abs_sum, sq_sum, count = 0.0, 0.0, 0
-    with ad.no_grad():
-        for start in range(0, len(val_instances), config.batch_size):
-            chunk = val_instances[start : start + config.batch_size]
-            views = [masked_view(inst, val_inactive) if val_inactive else inst for inst in chunk]
-            res = _forward_views(model, views, contexts, obs, bank, config)
-            err = model.denormalize(res.y_hat.value) - region_major(
-                np.stack([inst.future[:, obs] for inst in chunk])
-            )
-            abs_sum += float(np.abs(err).sum())
-            sq_sum += float((err * err).sum())
-            count += err.size
+    for chunk_abs, chunk_sq, size in forecast_chunks(
+        model, val_instances, view, contexts, obs, bank, config, error_sums
+    ):
+        abs_sum += chunk_abs
+        sq_sum += chunk_sq
+        count += size
     return abs_sum / count, float(np.sqrt(sq_sum / count))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,6 @@ class TestGenerator:
         b = generate_synthetic_city(small_spec())
         assert np.array_equal(a.demand, b.demand)
         assert np.array_equal(a.contexts(), b.contexts())
-        assert a.split_boundaries == b.split_boundaries
 
     def test_different_seeds_differ(self):
         a = generate_synthetic_city(small_spec(seed=1))
@@ -101,7 +102,6 @@ class TestWindows:
             regions=city.regions,
             demand=city.demand[:48],
             hour_of_interval=city.hour_of_interval[:48],
-            split_boundaries=(24, 40),
         )
         assert len(make_windows(city2)) == 1
 
@@ -169,14 +169,6 @@ class TestSplits:
         with pytest.raises(DataError):
             split_windows(self.make_instances(10), (0.5, 0.2, 0.2))
 
-    def test_generator_boundaries_match_ratio_split(self):
-        city = generate_synthetic_city(small_spec())
-        tr, va, te = split_windows(make_windows(city))
-        train_end, val_end = city.split_boundaries
-        assert all(i.t < train_end for i in tr)
-        assert all(train_end <= i.t < val_end for i in va)
-        assert all(i.t >= val_end for i in te)
-
 
 class TestMaskedView:
     def instance(self):
@@ -232,8 +224,20 @@ class TestPersistence:
         assert np.array_equal(loaded.demand, city.demand)
         assert np.array_equal(loaded.contexts(), city.contexts())
         assert np.array_equal(loaded.hour_of_interval, city.hour_of_interval)
-        assert loaded.split_boundaries == city.split_boundaries
         assert np.array_equal(loaded.archetypes, city.archetypes)
+
+    def test_older_file_with_split_boundaries_loads(self, tmp_path):
+        # files written by older versions carry a "split_boundaries" key,
+        # which nothing reads
+        city = generate_synthetic_city(small_spec())
+        p = tmp_path / "city.json"
+        save_city(city, p)
+        doc = json.loads(p.read_text())
+        doc["split_boundaries"] = [139, 178]  # what the generator wrote for this spec
+        p.write_text(json.dumps(doc, sort_keys=True))
+        loaded = load_city(p)
+        assert np.array_equal(loaded.demand, city.demand)
+        assert np.array_equal(loaded.contexts(), city.contexts())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

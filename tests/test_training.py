@@ -26,6 +26,7 @@ from bankcast.training import (
     masked_l1,
     sample_active,
     train,
+    validation_metrics,
 )
 
 
@@ -252,25 +253,6 @@ class TestTrainLoop:
         max_train_anchor = max(i.t for i in tr)
         assert all(e.anchor <= max_train_anchor for e in result.bank.entries)
 
-    def test_supervision_scoping(self):
-        # perturbing futures of unsupervised regions leaves the loss unchanged
-        city = toy_city()
-        windows = make_windows(city)
-        tr, _, _ = split_windows(windows)
-        model = toy_model()
-        model.set_norm(10.0, 5.0)
-        contexts = city.contexts()
-        observable = list(range(city.n_regions))
-        cfg = toy_train_config(supervise_inactive=False, lambda_ret=0.0)
-        inst = tr[0]
-        inactive = [1, 4]
-        base, _, _ = instance_loss(model, inst, contexts, observable, inactive, None, cfg)
-        # windows are read-only views of the demand, so perturb a copy
-        perturbed = dataclasses.replace(inst, future=inst.future.copy())
-        perturbed.future[:, inactive] += 123.0
-        after, _, _ = instance_loss(model, perturbed, contexts, observable, inactive, None, cfg)
-        assert float(base.value) == float(after.value)
-
     def test_lambda_zero_retriever_grads_come_only_from_fused_path(self):
         city = toy_city()
         windows = make_windows(city)
@@ -360,7 +342,6 @@ BATCH_CASES = {
     "retrieval": (dict(), dict()),
     "graph-only": (dict(retrieval_enabled=False), dict()),
     "lambda-zero": (dict(), dict(lambda_ret=0.0)),
-    "observed-supervision": (dict(), dict(supervise_inactive=False)),
     # hour buckets of one entry, and no entries at the hour of two of the
     # instances: rows and whole instances without candidates, every row short of k
     "ragged": (dict(bank_windows=7, bank_regions=[0]), dict(k=3)),
@@ -559,3 +540,52 @@ class TestForwardBatch:
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def validation_setup(retrieval_enabled=True):
+    """A live model, its bank over regions 0-4, and 11 validation windows
+    (chunks of 4, 4 and 3): region 5 is held out, and regions 1 and 3 are
+    the masked validation regions."""
+    city = toy_city()
+    tr, va, _ = split_windows(make_windows(city))
+    model = live_model(retrieval_enabled=retrieval_enabled)
+    model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+    observable = [0, 1, 2, 3, 4]
+    bank = None
+    if retrieval_enabled:
+        bank = build_bank(tr[:40], observable, city.contexts(), model.encode_entries, model.encoder_version())
+    cfg = toy_train_config(batch_size=4)
+    return model, city, va[:11], observable, [1, 3], bank, cfg
+
+
+class TestValidationMetrics:
+    @pytest.mark.parametrize("retrieval_enabled", [True, False])
+    def test_equals_one_instance_forwards(self, retrieval_enabled):
+        model, city, val, observable, val_inactive, bank, cfg = validation_setup(retrieval_enabled)
+        contexts, obs = city.contexts(), np.asarray(observable)
+        mae, rmse = validation_metrics(model, val, contexts, observable, bank, cfg, val_inactive)
+        errors = []
+        for inst in val:
+            view = masked_view(inst, val_inactive)
+            res = model.forward(
+                contexts[obs], view.history[:, obs], view.mask[obs], view.hour,
+                bank=bank, k=cfg.k, temperature=cfg.temperature, region_ids=obs,
+            )
+            errors.append(model.denormalize(res.y_hat.value) - inst.future[:, obs].T)
+        err = np.concatenate(errors)
+        assert abs(mae - np.abs(err).mean()) <= 1e-12 * mae
+        assert abs(rmse - np.sqrt((err * err).mean())) <= 1e-12 * rmse
+
+    def test_blind_to_regions_outside_the_observable_set(self):
+        model, city, val, observable, val_inactive, bank, cfg = validation_setup()
+        before = validation_metrics(model, val, city.contexts(), observable, bank, cfg, val_inactive)
+        demand = city.demand.copy()
+        demand[:, 5] = np.random.default_rng(3).uniform(0.0, 500.0, size=demand.shape[0])
+        rewritten = dataclasses.replace(city, demand=demand)
+        _, va, _ = split_windows(make_windows(rewritten))
+        after = validation_metrics(model, va[:11], city.contexts(), observable, bank, cfg, val_inactive)
+        assert after == before
