@@ -2,13 +2,16 @@
 
 Bank and checkpoint files share this layout. The header's `format` names the
 kind of file, and the body is written and read without pickle, so loading a
-file never runs code from it.
+file never runs code from it. `write_text` writes the text outputs (frozen
+configs, datasets, reports, CSVs). A file that cannot be written raises a
+DataError naming it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +27,31 @@ def sha256_hex(array: np.ndarray) -> str:
     return hashlib.sha256(array).hexdigest()
 
 
-def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
-    """Write `header` and `body` to `path`; raises DataError when the file
-    cannot be written (a directory, no permission, a full disk)."""
+@contextmanager
+def _writing(path: str | Path):
+    """Turn an OSError inside (a directory, no permission, a full disk, a
+    file where a directory should be) into a DataError naming `path`."""
     try:
-        with open(path, "wb") as f:
-            f.write((json.dumps(header, sort_keys=True) + "\n").encode())
-            np.save(f, body, allow_pickle=False)
+        yield
     except OSError as e:
         raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
+
+
+def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
+    """Write `header` and `body` to `path`; raises DataError when the file
+    cannot be written."""
+    with _writing(path), open(path, "wb") as f:
+        f.write((json.dumps(header, sort_keys=True) + "\n").encode())
+        np.save(f, body, allow_pickle=False)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path`, making its directory first; raises DataError
+    when either cannot be written."""
+    path = Path(path)
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
 
 
 def check_writable(path: str | Path) -> None:
@@ -41,11 +60,8 @@ def check_writable(path: str | Path) -> None:
     removed again."""
     path = Path(path)
     existed = path.exists()
-    try:
-        with open(path, "ab"):
-            pass
-    except OSError as e:
-        raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
+    with _writing(path), open(path, "ab"):
+        pass
     if not existed:
         path.unlink()
 

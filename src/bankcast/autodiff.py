@@ -5,20 +5,26 @@ closure; `backward()` walks the implicit tape in reverse topological order and
 accumulates gradients into `Var.grad`. A `Var` needs gradients when it is a
 leaf made as `Var(x)` (a parameter, or a test's input), or when grad mode is on
 and some parent of the op that made it needs them. `constant()` and the raw
-arrays an op wraps never do. A result that needs none records no closure and
-skips the arrays only a backward pass reads, and closures and `backward()`
-skip the parents that need none, so no gradient is computed for data. Inside
-`no_grad()` nothing needs gradients: forwards that are never differentiated
-(evaluation, key encoding) compute the same values and keep no backward
-state. Only the operations the forecasting model actually needs are
-implemented. Learnable arrays live in a `ParamStore`, a flat name -> leaf Var
-registry that the optimizer and the finite-difference checker both iterate.
+arrays an op wraps never do. Inside `no_grad()` nothing needs gradients:
+forwards that are never differentiated (evaluation, key encoding) compute the
+same values and keep no backward state.
+
+Every op is `_op(value, [(parent, vjp), ...])`: its forward value and, per
+parent, a function from the result's gradient to that parent's. `_op` alone
+applies the rule above; it records a closure only for a result that needs
+gradients, and that closure calls only the vjps of parents that need them.
+Arrays that only a backward pass reads are computed inside a vjp, so a
+forward that needs no gradients never computes them. To add an op, compute
+its value and return `_op` with one vjp per parent. Only the operations the
+forecasting model actually needs are implemented. Learnable arrays live in a
+`ParamStore`, a flat name -> leaf Var registry that the optimizer and the
+finite-difference checker both iterate.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,10 +85,25 @@ def _to_var(x) -> Var:
     return x if isinstance(x, Var) else constant(x)
 
 
-def _result(value, parents: tuple) -> Var:
-    """An op's output: it needs gradients when grad mode is on and a parent
-    does (so a one-parent op's closure always feeds its parent)."""
-    return Var(value, parents, _grad_enabled and any(p.needs_grad for p in parents))
+def _op(value, grads: Sequence[tuple[Var, Callable]]) -> Var:
+    """An op's result. `grads` holds one `(parent, vjp)` pair per parent,
+    `vjp(g)` mapping the result's gradient `g` to that parent's.
+
+    The result needs gradients when grad mode is on and some parent does;
+    only then does it record a closure, which accumulates `vjp(g)` into each
+    parent that needs gradients, in `grads` order, and skips the others.
+    """
+    out = Var(value, tuple([p for p, _ in grads]), False)
+    live = _grad_enabled and [(p, vjp) for p, vjp in grads if p.needs_grad]
+    if live:
+        out.needs_grad = True
+
+        def _bw(g):
+            for p, vjp in live:
+                _accum(p, vjp(g))
+
+        out._backward = _bw
+    return out
 
 
 def _accum(var: Var, g: np.ndarray) -> None:
@@ -134,143 +155,81 @@ def backward(root: Var) -> None:
 
 def add(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = _result(a.value + b.value, (a, b))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        if a.needs_grad:
-            _accum(a, _unbroadcast(g, a.value.shape))
-        if b.needs_grad:
-            _accum(b, _unbroadcast(g, b.value.shape))
-
-    out._backward = _bw
-    return out
+    return _op(a.value + b.value, [
+        (a, lambda g: _unbroadcast(g, a.value.shape)),
+        (b, lambda g: _unbroadcast(g, b.value.shape)),
+    ])
 
 
 def sub(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = _result(a.value - b.value, (a, b))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        if a.needs_grad:
-            _accum(a, _unbroadcast(g, a.value.shape))
-        if b.needs_grad:
-            _accum(b, _unbroadcast(-g, b.value.shape))
-
-    out._backward = _bw
-    return out
+    return _op(a.value - b.value, [
+        (a, lambda g: _unbroadcast(g, a.value.shape)),
+        (b, lambda g: _unbroadcast(-g, b.value.shape)),
+    ])
 
 
 def mul(a, b) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = _result(a.value * b.value, (a, b))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        if a.needs_grad:
-            _accum(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.needs_grad:
-            _accum(b, _unbroadcast(g * a.value, b.value.shape))
-
-    out._backward = _bw
-    return out
+    return _op(a.value * b.value, [
+        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
+        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
+    ])
 
 
 def matmul(a: Var, b: Var) -> Var:
     a, b = _to_var(a), _to_var(b)
-    out = _result(a.value @ b.value, (a, b))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        if a.needs_grad:
-            _accum(a, g @ b.value.T)
-        if b.needs_grad:
-            _accum(b, a.value.T @ g)
-
-    out._backward = _bw
-    return out
+    return _op(a.value @ b.value, [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)])
 
 
 def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     """x @ w.T (+ b), one node for a dense layer whose weight is stored (out, in)."""
     x, w = _to_var(x), _to_var(w)
     value = x.value @ w.value.T
+    grads = [(x, lambda g: g @ w.value), (w, lambda g: (x.value.T @ g).T)]
     if b is not None:
         b = _to_var(b)
         value = value + b.value
-    out = _result(value, (x, w) if b is None else (x, w, b))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        if x.needs_grad:
-            _accum(x, g @ w.value)
-        if w.needs_grad:
-            _accum(w, (x.value.T @ g).T)
-        if b is not None and b.needs_grad:
-            _accum(b, _unbroadcast(g, b.value.shape))
-
-    out._backward = _bw
-    return out
+        grads.append((b, lambda g: _unbroadcast(g, b.value.shape)))
+    return _op(value, grads)
 
 
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
     parts = [_to_var(p) for p in parts]
-    out = _result(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
-    if not out.needs_grad:
-        return out
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
-    def _bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if not p.needs_grad:
-                continue
+    def piece(i):
+        def vjp(g):
             sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(p, g[tuple(sl)])
+            lo = sum(p.value.shape[axis] for p in parts[:i])
+            sl[axis] = slice(lo, lo + parts[i].value.shape[axis])
+            return g[tuple(sl)]
 
-    out._backward = _bw
-    return out
+        return vjp
+
+    value = np.concatenate([p.value for p in parts], axis=axis)
+    return _op(value, [(p, piece(i)) for i, p in enumerate(parts)])
 
 
 def reshape(a: Var, shape: tuple) -> Var:
     a = _to_var(a)
-    out = _result(a.value.reshape(shape), (a,))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        _accum(a, g.reshape(a.value.shape))
-
-    out._backward = _bw
-    return out
+    return _op(a.value.reshape(shape), [(a, lambda g: g.reshape(a.value.shape))])
 
 
 def take_rows(a: Var, idx) -> Var:
     """Gather rows of a 2D Var; repeated indices accumulate in the backward pass."""
     a = _to_var(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = _result(a.value[idx], (a,))
-    if not out.needs_grad:
-        return out
 
-    def _bw(g):
+    def vjp(g):
         # a stable sort groups each target row's gradient rows, in gather
         # order, into one run; one reduceat sums every run
         order = np.argsort(idx, kind="stable")
         runs = np.flatnonzero(np.diff(idx[order], prepend=-1))
         full = np.zeros_like(a.value)
         full[idx[order[runs]]] = np.add.reduceat(g[order], runs, axis=0)
-        _accum(a, full)
+        return full
 
-    out._backward = _bw
-    return out
+    return _op(a.value[idx], [(a, vjp)])
 
 
 def picked_dots(q: Var, table: np.ndarray, picks: np.ndarray, value: np.ndarray) -> Var:
@@ -282,16 +241,12 @@ def picked_dots(q: Var, table: np.ndarray, picks: np.ndarray, value: np.ndarray)
     its `value` is a constant and passes no gradient.
     """
     q = _to_var(q)
-    out = _result(value, (q,))
-    if not out.needs_grad:
-        return out
 
-    def _bw(g):
+    def vjp(g):
         # padding gathers the last row, weighted by an exact 0
-        _accum(q, np.einsum("nk,nkd->nd", np.where(picks < 0, 0.0, g), table[picks]))
+        return np.einsum("nk,nkd->nd", np.where(picks < 0, 0.0, g), table[picks])
 
-    out._backward = _bw
-    return out
+    return _op(value, [(q, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -300,58 +255,23 @@ def picked_dots(q: Var, table: np.ndarray, picks: np.ndarray, value: np.ndarray)
 
 def relu(a: Var) -> Var:
     a = _to_var(a)
-    out = _result(np.maximum(a.value, 0.0), (a,))
-    if not out.needs_grad:
-        return out
-    mask = a.value > 0
-
-    def _bw(g):
-        _accum(a, g * mask)
-
-    out._backward = _bw
-    return out
+    return _op(np.maximum(a.value, 0.0), [(a, lambda g: g * (a.value > 0))])
 
 
 def gelu(a: Var) -> Var:
     a = _to_var(a)
-    out = _result(numerics.gelu(a.value), (a,))
-    if not out.needs_grad:
-        return out
-    da = numerics.gelu_grad(a.value)
-
-    def _bw(g):
-        _accum(a, g * da)
-
-    out._backward = _bw
-    return out
+    return _op(numerics.gelu(a.value), [(a, lambda g: g * numerics.gelu_grad(a.value))])
 
 
 def sigmoid(a: Var) -> Var:
     a = _to_var(a)
     s = numerics.sigmoid(a.value)
-    out = _result(s, (a,))
-    if not out.needs_grad:
-        return out
-
-    def _bw(g):
-        _accum(a, g * s * (1.0 - s))
-
-    out._backward = _bw
-    return out
+    return _op(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
 def absolute(a: Var) -> Var:
     a = _to_var(a)
-    out = _result(np.abs(a.value), (a,))
-    if not out.needs_grad:
-        return out
-    sgn = np.sign(a.value)
-
-    def _bw(g):
-        _accum(a, g * sgn)
-
-    out._backward = _bw
-    return out
+    return _op(np.abs(a.value), [(a, lambda g: g * np.sign(a.value))])
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +280,13 @@ def absolute(a: Var) -> Var:
 
 def reduce_sum(a: Var, axis=None, keepdims: bool = False) -> Var:
     a = _to_var(a)
-    out = _result(a.value.sum(axis=axis, keepdims=keepdims), (a,))
-    if not out.needs_grad:
-        return out
 
-    def _bw(g):
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.value.shape).astype(np.float64))
+        return np.broadcast_to(g, a.value.shape).astype(np.float64)
 
-    out._backward = _bw
-    return out
+    return _op(a.value.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
 def mean(a: Var, axis=None, keepdims: bool = False) -> Var:
@@ -383,16 +299,12 @@ def row_softmax(a: Var, temperature: float = 1.0) -> Var:
     """softmax(a / temperature) along axis 1."""
     a = _to_var(a)
     y = numerics.row_softmax(a.value, temperature)
-    out = _result(y, (a,))
-    if not out.needs_grad:
-        return out
 
-    def _bw(g):
+    def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - dot) * y / temperature)
+        return (g - dot) * y / temperature
 
-    out._backward = _bw
-    return out
+    return _op(y, [(a, vjp)])
 
 
 def l2_normalize_rows(a: Var, eps: float = numerics.NORM_EPS) -> Var:
@@ -403,16 +315,12 @@ def l2_normalize_rows(a: Var, eps: float = numerics.NORM_EPS) -> Var:
         bad = int(np.argmin(norms))
         raise DegenerateEmbedding(f"row {bad} has L2 norm {norms[bad, 0]!r}")
     y = a.value / norms
-    out = _result(y, (a,))
-    if not out.needs_grad:
-        return out
 
-    def _bw(g):
+    def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(a, (g - dot * y) / norms)
+        return (g - dot * y) / norms
 
-    out._backward = _bw
-    return out
+    return _op(y, [(a, vjp)])
 
 
 # ---------------------------------------------------------------------------

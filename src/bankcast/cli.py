@@ -17,8 +17,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .artifacts import check_writable
+from .artifacts import check_writable, write_text
 from .data import (
+    DEFAULT_HORIZON,
+    DEFAULT_SPLIT_RATIOS,
+    DEFAULT_WINDOW,
     SyntheticSpec,
     check_split_ratios,
     generate_synthetic_city,
@@ -36,6 +39,7 @@ from .errors import (
     VersionMismatchError,
 )
 from .evaluation import (
+    DEFAULT_N_HOLDOUT,
     EvalReport,
     ProtocolRun,
     choose_holdout,
@@ -63,10 +67,10 @@ def _field_defaults(cls, skip: tuple[str, ...]) -> dict:
 DEFAULT_CONFIG: dict = {
     "protocol": "coldstart",
     "seeds": [1, 2, 3],
-    "n_holdout": 10,
-    "window": 24,
-    "horizon": 24,
-    "split_ratios": [0.6, 0.2, 0.2],
+    "n_holdout": DEFAULT_N_HOLDOUT,
+    "window": DEFAULT_WINDOW,
+    "horizon": DEFAULT_HORIZON,
+    "split_ratios": list(DEFAULT_SPLIT_RATIOS),
     "paths": {
         "dataset": "runs/source.json",
         "dataset_target": "runs/target.json",
@@ -171,11 +175,10 @@ def config_hash(config: dict) -> str:
 
 
 def freeze_config(config: dict, report_dir: Path) -> str:
-    report_dir.mkdir(parents=True, exist_ok=True)
     h = config_hash(config)
     doc = dict(config)
     doc["config_hash"] = h
-    (report_dir / "config.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+    write_text(report_dir / "config.json", json.dumps(doc, sort_keys=True, indent=2))
     return h
 
 
@@ -206,7 +209,6 @@ def cmd_generate(config: dict) -> int:
         city, target = make_transfer_pair(spec, config["synthetic"]["target_seed"])
     else:
         city, target = generate_synthetic_city(spec, name="source"), None
-    Path(paths["dataset"]).parent.mkdir(parents=True, exist_ok=True)
     save_city(city, paths["dataset"], config_hash=h)
     windows = make_windows(city, config["window"], config["horizon"])
     tr, va, te = split_windows(windows, tuple(config["split_ratios"]))
@@ -302,7 +304,6 @@ def cmd_eval(config: dict) -> int:
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
         seed_dir = report_dir / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         if protocol == "coldstart":
             report, _, preds, targets = run_coldstart(
                 city, tc, mc, config["n_holdout"], ratios, run=pretrained
@@ -311,7 +312,7 @@ def cmd_eval(config: dict) -> int:
             report, _, preds, targets = run_transfer(
                 city, target, tc, mc, config["n_holdout"], ratios, run=pretrained
             )
-        (seed_dir / "report.json").write_text(_report_to_json(report, h))
+        write_text(seed_dir / "report.json", _report_to_json(report, h))
         write_curves_csv(seed_dir / "curves.csv", preds, targets, config_hash=h)
         cold = report.coldstart_only
         print(
@@ -337,7 +338,6 @@ def cmd_ablate(config: dict) -> int:
         tc = train_config(config, seed=seed)
         result = run_ablation_lret(source, target, tc, mc, config["n_holdout"], ratios)
         seed_dir = report_dir / f"seed_{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         doc = {
             "config_hash": h,
             "seed": seed,
@@ -352,7 +352,7 @@ def cmd_ablate(config: dict) -> int:
                 for label, arm in result["arms"].items()
             },
         }
-        (seed_dir / "ablation.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+        write_text(seed_dir / "ablation.json", json.dumps(doc, sort_keys=True, indent=2))
         print(
             f"seed {seed} [ablation]: rmse with/without ret loss "
             f"{result['arms']['with_ret_loss']['test'].overall.rmse:.6f}/"

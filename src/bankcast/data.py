@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_text
 from .errors import DataError
 
 DEFAULT_WINDOW = 24
@@ -290,7 +291,7 @@ def save_city(city: CityDataset, path: str | Path, config_hash: str | None = Non
         doc["archetypes"] = city.archetypes.tolist()
     if config_hash is not None:
         doc["config_hash"] = config_hash
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def load_city(path: str | Path) -> CityDataset:

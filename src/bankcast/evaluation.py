@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_text
 from .data import (
+    DEFAULT_SPLIT_RATIOS,
     CityDataset,
     ForecastInstance,
     make_windows,
@@ -28,6 +30,8 @@ from .errors import DataError
 from .model import ForwardResult, Model, ModelConfig, region_major
 from .retrieval import MemoryBank
 from .training import TrainConfig, TrainResult, forecast_chunks, train
+
+DEFAULT_N_HOLDOUT = 10  # cold-start regions per protocol run
 
 
 @dataclass
@@ -113,8 +117,8 @@ def train_for_protocol(
     city: CityDataset,
     train_config: TrainConfig,
     model_config: ModelConfig,
-    n_holdout: int = 10,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    n_holdout: int = DEFAULT_N_HOLDOUT,
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
 ) -> ProtocolRun:
     """The shared single-city training phase: hold out cold-start regions, train the rest."""
     holdout = choose_holdout(city.n_regions, n_holdout, train_config.seed)
@@ -278,8 +282,8 @@ def run_coldstart(
     city: CityDataset,
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
-    n_holdout: int = 10,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    n_holdout: int = DEFAULT_N_HOLDOUT,
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     run: ProtocolRun | None = None,
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
     """Train with held-out cold-start regions, evaluate on the full graph at test time.
@@ -300,8 +304,8 @@ def run_transfer(
     target_city: CityDataset,
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
-    n_holdout: int = 10,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    n_holdout: int = DEFAULT_N_HOLDOUT,
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     run: ProtocolRun | None = None,
     eval_split: str = "test",
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
@@ -328,8 +332,8 @@ def run_ablation_lret(
     target_city: CityDataset,
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
-    n_holdout: int = 10,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    n_holdout: int = DEFAULT_N_HOLDOUT,
+    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
 ) -> dict:
     """Paired transfer runs differing only in the retrieval-loss weight (vs 0).
 
@@ -378,4 +382,4 @@ def write_curves_csv(
     for r in range(n_regions):
         for s in range(horizon):
             lines.append(f"{r},{s},{mean_pred[r, s]!r},{mean_true[r, s]!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

@@ -31,6 +31,7 @@ from .backbone import (
     message_pass,
     project_context,
 )
+from .data import DEFAULT_HORIZON, DEFAULT_WINDOW
 from .errors import ConfigError, DataError, VersionMismatchError
 from .fusion import FusionParams, fuse
 from .retrieval import (
@@ -47,8 +48,8 @@ from .retrieval import (
 @dataclass(frozen=True)
 class ModelConfig:
     d_c: int
-    window: int = 24
-    horizon: int = 24
+    window: int = DEFAULT_WINDOW
+    horizon: int = DEFAULT_HORIZON
     d_g: int = 32
     d_z: int = 32
     hidden: int = 64

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import write_text
 from .autodiff import ParamStore, Var
 from .data import CityDataset, ForecastInstance, masked_view
 from .errors import ConfigError, DataError, DivergenceError
@@ -140,12 +141,11 @@ def sample_active(
     return active_ids, inactive_ids
 
 
-def masked_l1(pred: Var, target: np.ndarray, supervise_rows: list[int]) -> Var:
-    """Mean absolute error over the supervised rows of (n, H) prediction/target."""
-    if len(supervise_rows) == 0:
+def masked_l1(pred: Var, target: np.ndarray) -> Var:
+    """Mean absolute error over every row of (n, H) prediction/target."""
+    if pred.value.shape[0] == 0:
         raise DataError("supervised region set is empty")
-    diff = ad.sub(ad.take_rows(pred, supervise_rows), ad.constant(target[supervise_rows]))
-    return ad.mean(ad.absolute(diff))
+    return ad.mean(ad.absolute(ad.sub(pred, ad.constant(target))))
 
 
 def combine_losses(l_pred: Var, l_ret: Var | None, lambda_ret: float) -> Var:
@@ -203,7 +203,7 @@ def batch_loss(
         true_futures=futures_raw if bank is not None else None,
     )
     target = model.normalize(region_major(futures_raw))
-    l_pred = masked_l1(res.y_hat, target, np.arange(len(target)))
+    l_pred = masked_l1(res.y_hat, target)
     total = combine_losses(l_pred, res.l_ret, config.lambda_ret)
     return total, l_pred, res.l_ret
 
@@ -412,5 +412,4 @@ def write_log_csv(log_rows: list[dict], path, config_hash: str | None = None) ->
                 repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in LOG_COLUMNS
             )
         )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

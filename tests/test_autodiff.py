@@ -239,6 +239,18 @@ def test_no_grad_values_are_the_taped_values(name):
     assert untaped.value.tobytes() == taped.value.tobytes()
 
 
+def graph_nodes(root: ad.Var) -> list[ad.Var]:
+    """Every node reachable from `root` through parent links, `root` included."""
+    seen, nodes, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack += node._parents
+    return nodes
+
+
 def test_no_grad_graph_reaches_no_leaf():
     store = ad.ParamStore()
     rng = np.random.default_rng(12)
@@ -247,31 +259,25 @@ def test_no_grad_graph_reaches_no_leaf():
     x = ad.constant(rng.normal(size=(3, 4)))
     with ad.no_grad():
         loss = ad.mean(ad.absolute(ad.gelu(ad.linear(ad.relu(x), w, b))))
-    seen, stack = set(), [loss]
-    while stack:  # no node of the graph carries a backward closure
-        node = stack.pop()
-        assert node._backward is None
-        seen.add(id(node))
-        stack += [p for p in node._parents if id(p) not in seen]
+    assert all(node._backward is None for node in graph_nodes(loss))
     ad.backward(loss)
     assert store["w"].grad is None and store["b"].grad is None
 
 
-def test_constants_get_no_gradient_and_constant_results_no_closure():
-    store = ad.ParamStore()
-    rng = np.random.default_rng(13)
-    w = store.register("w", rng.normal(size=(2, 4)))
-    x = ad.constant(rng.normal(size=(3, 4)))
-    data_only = ad.mul(ad.relu(x), 2.0)  # built from constants alone
+@pytest.mark.parametrize("name", sorted(NO_GRAD_CASES))
+def test_constants_get_no_gradient_and_constant_results_no_closure(name):
+    a, b = no_grad_inputs()
+    data_only = NO_GRAD_CASES[name](ad.constant(a.value), ad.constant(b.value))  # grad mode is on
     assert not data_only.needs_grad and data_only._backward is None
-    h = ad.linear(data_only, w)
-    shifted = ad.add(h, np.ones((3, 2)))  # a raw array an op wraps
-    loss = ad.reduce_sum(ad.mul(shifted, ad.constant(rng.normal(size=(3, 2)))))
-    assert h.needs_grad and h._parents == (data_only, w)
-    ad.backward(loss)
-    assert w.grad is not None
-    constants = [x, data_only, shifted._parents[1], loss._parents[0]._parents[1]]
-    assert all(not c.needs_grad and c.grad is None for c in constants)
+    # one side a leaf, the other data; an op that reads only `a` sees data alone on the second pass
+    for x, y in [(a, ad.constant(b.value)), (ad.constant(a.value), b)]:
+        out = NO_GRAD_CASES[name](x, y)
+        weights = ad.constant(np.random.default_rng(14).normal(size=out.shape))
+        ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+        nodes = graph_nodes(out)
+        assert all(n.grad is None for n in nodes if not n.needs_grad)
+        assert all(n.grad is not None for n in nodes if n.needs_grad)
+    assert a.grad is not None
 
 
 def test_no_grad_restores_the_mode_after_an_exception_and_nests():

@@ -210,12 +210,33 @@ class TestGenerate:
         assert run_cli("--config", str(p), "generate") == 0
         assert (tmp_path / "target.json").exists()
 
+    def test_dataset_under_a_file_exits_3(self, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        (tmp_path / "afile").write_text("")
+        dataset = tmp_path / "afile" / "source.json"
+        assert run_cli("--config", str(p), "--set", f"paths.dataset={dataset}", "generate") == 3
+        out, err = capsys.readouterr()
+        assert "data error" in err and str(dataset) in err
+        assert "wrote" not in out
+
     def test_config_hash_embedded(self, tmp_path):
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
         doc = json.loads((tmp_path / "source.json").read_text())
         frozen = json.loads((tmp_path / "runs" / "config.json").read_text())
         assert doc["config_hash"] == frozen["config_hash"]
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate"])
+def test_report_dir_that_is_a_file_exits_3(command, tmp_path, capsys):
+    # every subcommand that runs an experiment first freezes its config there
+    p = fast_config(tmp_path)
+    report_dir = tmp_path / "afile"
+    report_dir.write_text("")
+    assert run_cli("--config", str(p), "--set", f"paths.report_dir={report_dir}", command) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and str(report_dir) in err
+    assert report_dir.read_text() == ""
 
 
 class TestTrain:
