@@ -29,17 +29,19 @@ def sha256_hex(array: np.ndarray) -> str:
 
 @contextmanager
 def _writing(path: str | Path):
-    """Turn an OSError inside (a directory, no permission, a full disk, a
-    file where a directory should be) into a DataError naming `path`."""
+    """Make `path`'s missing parent directories, and turn an OSError inside
+    (a directory, no permission, a full disk, a file where a directory
+    should be) into a DataError naming `path`."""
     try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as e:
         raise DataError(f"file {path} cannot be written: {type(e).__name__}: {e.strerror}")
 
 
 def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
-    """Write `header` and `body` to `path`; raises DataError when the file
-    cannot be written."""
+    """Write `header` and `body` to `path`, making its directory first;
+    raises DataError when either cannot be written."""
     with _writing(path), open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode())
         np.save(f, body, allow_pickle=False)
@@ -48,22 +50,26 @@ def write_artifact(path: str | Path, header: dict, body: np.ndarray) -> None:
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` to `path`, making its directory first; raises DataError
     when either cannot be written."""
-    path = Path(path)
     with _writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        Path(path).write_text(text)
 
 
 def check_writable(path: str | Path) -> None:
     """Raise DataError, naming `path`, unless it can be opened for writing.
-    Opening does not change an existing file, and a file the probe made is
-    removed again."""
+    Opening does not change an existing file, and the file and directories
+    the probe made are removed again."""
     path = Path(path)
     existed = path.exists()
-    with _writing(path), open(path, "ab"):
-        pass
-    if not existed:
-        path.unlink()
+    made = [d for d in path.parents if not d.exists()]  # the probe makes these, innermost first
+    try:
+        with _writing(path), open(path, "ab"):
+            pass
+        if not existed:
+            path.unlink()
+    finally:
+        for d in made:
+            if d.exists():
+                d.rmdir()
 
 
 def read_artifact(path: str | Path, fmt: str, what: str) -> tuple[dict, np.ndarray]:

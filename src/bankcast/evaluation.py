@@ -142,20 +142,20 @@ def predict_city(
     """Raw predictions/targets of shape (n_instances, N, H) over the full region graph.
 
     Forecasts by `forecast_chunks`, as `validation_metrics` does, writing
-    each chunk into arrays allocated up front. With `collect_priors`, extras
-    hold the mean L2 between each retrieving region's prior and its true
-    future, and the MAE of the backbone forecast (`y_tilde`, from the same
-    forward) over the masked and over the observed regions.
+    each chunk into its instances' positions of arrays allocated up front.
+    With `collect_priors`, extras hold the mean L2 between each retrieving
+    region's prior and its true future, and the MAE of the backbone
+    forecast (`y_tilde`, from the same forward) over the masked and over
+    the observed regions.
     """
     preds = np.empty((len(instances), city.n_regions, model.config.horizon))
     backbone = np.empty_like(preds) if collect_priors else None
 
-    def write(start: int, chunk: list[ForecastInstance], res: ForwardResult) -> np.ndarray | None:
-        out = slice(start, start + len(chunk))
-        preds[out] = _instance_major(model.denormalize(res.y_hat.value), len(chunk))
+    def write(positions: np.ndarray, chunk: list[ForecastInstance], res: ForwardResult) -> np.ndarray | None:
+        preds[positions] = _instance_major(model.denormalize(res.y_hat.value), len(chunk))
         if not collect_priors:
             return None
-        backbone[out] = _instance_major(model.denormalize(res.y_tilde.value), len(chunk))
+        backbone[positions] = _instance_major(model.denormalize(res.y_tilde.value), len(chunk))
         if res.prior is None:
             return None
         # the fused prior, back on the raw scale: each retrieving row's

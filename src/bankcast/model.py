@@ -77,6 +77,35 @@ def region_major(per_instance: np.ndarray) -> np.ndarray:
     return per_instance.transpose(2, 0, 1).reshape(-1, per_instance.shape[1])
 
 
+def distinct_query_rows(
+    masks: np.ndarray, hours: np.ndarray, exclude_anchors: Sequence[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `Model.forward_batch` whose queries it computes, in
+    first-occurrence order, and each row's index among them.
+
+    A row whose mask is 0 holds its region's context, an all-zero history
+    and its instance's hour, and its selection reads its exclusion pair
+    (the instance's anchor, the region's id): so its key is (region, hour,
+    exclusion anchor), and masked rows of one key share one query and one
+    selection. Every other row is its own key. The key is one integer, in
+    mixed radix over the ranges that occur.
+    """
+    masks = np.asarray(masks)
+    n_inst, n = masks.shape
+    inst_of_row = np.tile(np.arange(n_inst), n)
+    hour = hours - hours.min()
+    anchor = np.zeros(n_inst, dtype=np.int64) if exclude_anchors is None else np.asarray(exclude_anchors)
+    anchor = anchor - anchor.min()
+    key = (np.repeat(np.arange(n), n_inst) * (hour.max() + 1) + hour[inst_of_row]) * (anchor.max() + 1)
+    key = key + anchor[inst_of_row]
+    key = np.where(masks.T.ravel() == 0, key, -1 - np.arange(key.size))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 @dataclass
 class ForwardResult:
     """One row per (region, instance), region-major; see `Model.forward_batch`."""
@@ -235,6 +264,12 @@ class Model:
         `true_futures` (B, H, n, raw) enables the retrieval alignment loss:
         the rows of instance b with candidates, c_b of them, each weigh
         1/(B·c_b), so it is the mean of the per-instance losses.
+
+        Rows that share a query and a selection are encoded and selected
+        once (see `distinct_query_rows`), then gathered back to every row;
+        the prior, the fusion and the alignment loss stay per row. In
+        training every row's exclusion pair differs, so every row is
+        encoded, in row order, and the tape holds no gather.
         """
         hours = np.asarray(hours)
         n_inst, n = len(hours), contexts.shape[0]
@@ -259,14 +294,20 @@ class Model:
                 y_hat=y_tilde, y_tilde=y_tilde, queries=None, l_ret=None, valid=np.zeros((n_rows, 1))
             )
 
-        row_hours = np.tile(hours, n)
+        # encode and select each distinct query once, then hand every row its own
+        distinct, inverse = distinct_query_rows(masks, hours, exclude_anchors)
+        row_hours = np.tile(hours, n)[distinct]
         queries = encode_retrieval(
-            ad.constant(contexts[region_of_row]), hist_rows, row_hours, self.retriever
+            ad.constant(contexts[region_of_row[distinct]]),
+            ad.constant(hist_rows.value[distinct]),
+            row_hours,
+            self.retriever,
         )
         excludes = None
         if exclude_anchors is not None:
             excludes = np.stack([np.tile(exclude_anchors, n), np.asarray(region_ids)[region_of_row]], 1)
-        selected, scores = np.full((n_rows, k), -1), np.zeros((n_rows, k))
+            excludes = excludes[distinct]
+        selected, scores = np.full((distinct.size, k), -1), np.zeros((distinct.size, k))
         for hour in np.unique(hours):
             rows = np.flatnonzero(row_hours == hour)
             picks = select_top_batch(
@@ -277,6 +318,9 @@ class Model:
             filled[rows] = np.arange(k) < np.array([idx.size for idx, _ in picks])[:, None]
             selected[filled] = np.concatenate([idx for idx, _ in picks])
             scores[filled] = np.concatenate([top for _, top in picks])
+        if distinct.size < n_rows:
+            queries = ad.take_rows(queries, inverse)
+            selected, scores = selected[inverse], scores[inverse]
         prior, valid, weights = self._dense_priors(queries, bank, selected, temperature, scores)
         y_hat = fuse(y_tilde, prior, self.fusion, valid)
 

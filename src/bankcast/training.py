@@ -229,24 +229,29 @@ def forecast_chunks(
     observable: np.ndarray,
     bank: MemoryBank | None,
     config: TrainConfig,
-    consume: Callable[[int, list[ForecastInstance], ForwardResult], object],
+    consume: Callable[[np.ndarray, list[ForecastInstance], ForwardResult], object],
 ) -> list:
-    """`consume(start, chunk, result)` of each chunk of `config.batch_size`
-    consecutive instances, taken from index 0, in order.
+    """`consume(positions, chunk, result)` of each chunk of `config.batch_size`
+    instances, taken in (hour, anchor) order; `positions` are the chunk's
+    indices into `instances`, so a caller can put results in its own order.
 
-    Each chunk's instances pass through `view` (the caller's masking) as the
-    chunk is drawn, and the chunk is forwarded over the `observable` regions
-    without a tape. A forecast's last bits can depend on how many rows its
-    chunk stacks, so fixed chunks make a prefix of whole chunks reproduce the
-    first forecasts of a longer run bit for bit. A result still links its
-    graph, so it is dropped before the next chunk's forward.
+    Hour order makes a chunk span few hours: `Model.forward_batch` runs one
+    selection per hour of a chunk, and masked regions of one hour share one
+    query. Each chunk's instances pass through `view` (the caller's masking)
+    as the chunk is drawn, and the chunk is forwarded over the `observable`
+    regions without a tape. A forecast's last bits can depend on which rows
+    its chunk stacks; the chunks depend only on the set of instances, so the
+    same instances in any order get the same forecasts bit for bit. A result
+    still links its graph, so it is dropped before the next chunk's forward.
     """
+    order = np.lexsort(([inst.t for inst in instances], [inst.hour for inst in instances]))
     out = []
     with ad.no_grad():
         for start in range(0, len(instances), config.batch_size):
-            chunk = instances[start : start + config.batch_size]
+            positions = order[start : start + config.batch_size]
+            chunk = [instances[i] for i in positions]
             res = _forward_views(model, [view(inst) for inst in chunk], contexts, observable, bank, config)
-            out.append(consume(start, chunk, res))
+            out.append(consume(positions, chunk, res))
             del res
     return out
 
@@ -268,7 +273,7 @@ def validation_metrics(
     """
     obs = np.asarray(observable)
 
-    def error_sums(start: int, chunk: list[ForecastInstance], res: ForwardResult):
+    def error_sums(positions: np.ndarray, chunk: list[ForecastInstance], res: ForwardResult):
         err = model.denormalize(res.y_hat.value) - region_major(
             np.stack([inst.future[:, obs] for inst in chunk])
         )

@@ -262,26 +262,44 @@ class TestTrain:
     @pytest.mark.parametrize("artifact,unwritable", [
         pytest.param("checkpoint", "directory", id="checkpoint"),
         pytest.param("bank", "directory", id="bank"),
-        pytest.param("checkpoint", "missing-parent", id="checkpoint-missing-parent"),
-        pytest.param("bank", "missing-parent", id="bank-missing-parent"),
+        pytest.param("checkpoint", "parent-is-a-file", id="checkpoint-parent-is-a-file"),
+        pytest.param("bank", "parent-is-a-file", id="bank-parent-is-a-file"),
     ])
     def test_unwritable_artifact_exits_3(self, artifact, unwritable, tmp_path, capsys):
-        # found before the first epoch, not after the last one; the probe leaves no file
+        # found before the first epoch, not after the last one; the probes
+        # leave no file and no directory
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
         path = tmp_path / f"{artifact}.bin"
         if unwritable == "directory":
             path.mkdir()
         else:
-            path = tmp_path / "missing" / f"{artifact}.bin"
+            (tmp_path / "a-file").write_text("")
+            path = tmp_path / "a-file" / f"{artifact}.bin"
+        # the other artifact goes under a new directory: the checkpoint's
+        # probe, which runs first, makes it and removes it again
+        other = "bank" if artifact == "checkpoint" else "checkpoint"
+        other_path = tmp_path / "new" / "dir" / f"{other}.bin"
         before = set(tmp_path.rglob("*"))
         capsys.readouterr()
-        assert run_cli("--config", str(p), "--set", f"paths.{artifact}={path}", "train") == 3
+        code = run_cli(
+            "--config", str(p), "--set", f"paths.{artifact}={path}", "--set", f"paths.{other}={other_path}",
+            "train",
+        )
+        assert code == 3
         out, err = capsys.readouterr()
         assert "data error" in err and str(path) in err
         assert "trained seed" not in out
         assert not (tmp_path / "runs" / "training_log.csv").exists()
         assert set(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("artifact", ["checkpoint", "bank"])
+    def test_artifact_under_a_new_directory_is_written(self, artifact, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        run_cli("--config", str(p), "generate")
+        path = tmp_path / "missing" / f"{artifact}.bin"
+        assert run_cli("--config", str(p), "--set", f"paths.{artifact}={path}", "train") == 0
+        assert path.is_file()
 
     def test_train_writes_artifacts(self, tmp_path, capsys):
         p = fast_config(tmp_path)

@@ -20,6 +20,8 @@ from bankcast.evaluation import (
 )
 from bankcast.model import Model, ModelConfig
 from bankcast.retrieval import build_bank
+from bankcast import model as model_module
+from bankcast import training
 from bankcast.training import TrainConfig
 
 
@@ -181,8 +183,9 @@ class TestColdstartProtocol:
         assert report.config_echo["model"]["window"] == 12
 
 
-def serving_setup(retrieval=True, bank_windows=None, bank_regions=None):
-    """An untrained model whose fusion is switched on, a bank, and 21 test windows."""
+def serving_setup(retrieval=True, bank_windows=None, bank_regions=None, n_test=21):
+    """An untrained model whose fusion is switched on, a bank, and the
+    first `n_test` test windows (of 49)."""
     city = small_city(seed=4)
     train, _, test = split_windows(make_windows(city))
     model = Model(small_model_config(retrieval), seed=3)
@@ -196,7 +199,7 @@ def serving_setup(retrieval=True, bank_windows=None, bank_regions=None):
             train[: bank_windows or len(train)], bank_regions or list(range(10)), city.contexts(),
             model.encode_entries, model.encoder_version(),
         )
-    return model, city, test[:21], bank
+    return model, city, test[:n_test], bank
 
 
 SERVING_CASES = {
@@ -246,6 +249,57 @@ class TestPredictCity:
         full, _, _ = predict_city(model, city, instances, self.masked, bank, tc)
         prefix, _, _ = predict_city(model, city, instances[:16], self.masked, bank, tc)
         assert prefix.tobytes() == full[:16].tobytes()
+
+    def test_subset_chunked_apart_from_the_full_run_gives_the_same_bytes(self, monkeypatch):
+        """The benchmark's mask-honesty check compares a run over the first
+        test windows with the first rows of the run over all of them. Hour
+        order chunks the two apart: of 49 windows, hour 0 comes thrice and
+        every other hour twice; the first 16 give each of hours 0-15 once.
+        So no chunk is shared, and the stacked and the distinct-encoded rows
+        differ; that a forecast's bytes still agree holds by test, not by
+        construction."""
+        model, city, instances, bank = serving_setup(n_test=49)
+        tc = quick_train_config(batch_size=8)
+        chunks, selected_rows = [], []
+        forward_views, select = training._forward_views, model_module.select_top_batch
+
+        def recording_forward(model, views, *args, **kwargs):
+            chunks[-1].append(tuple(v.t for v in views))
+            return forward_views(model, views, *args, **kwargs)
+
+        def recording_select(bank, queries, *args):
+            selected_rows[-1] += len(queries)
+            return select(bank, queries, *args)
+
+        monkeypatch.setattr(training, "_forward_views", recording_forward)
+        monkeypatch.setattr(model_module, "select_top_batch", recording_select)
+        runs = []
+        for subset in (instances, instances[:16]):
+            chunks.append([])
+            selected_rows.append(0)
+            runs.append(predict_city(model, city, subset, self.masked, bank, tc)[0])
+        full, prefix = runs
+        assert not set(chunks[0]) & set(chunks[1])
+        assert selected_rows[1] == 16 * city.n_regions  # each window's hour once: nothing shared
+        assert selected_rows[0] < 49 * city.n_regions
+        assert prefix.tobytes() == full[:16].tobytes()
+
+    def test_any_instance_order_gives_the_same_forecasts(self):
+        """Chunks are drawn in (hour, anchor) order whatever the caller's
+        order, and results come back in the caller's order."""
+        model, city, instances, bank = serving_setup()
+        tc = quick_train_config(batch_size=8)
+        ordered, targets, extras = predict_city(
+            model, city, instances, self.masked, bank, tc, collect_priors=True
+        )
+        perm = np.random.default_rng(0).permutation(len(instances))
+        shuffled, shuffled_targets, shuffled_extras = predict_city(
+            model, city, [instances[i] for i in perm], self.masked, bank, tc, collect_priors=True
+        )
+        for i, j in enumerate(perm):
+            assert shuffled[i].tobytes() == ordered[j].tobytes(), i
+        assert np.array_equal(shuffled_targets, targets[perm])
+        assert shuffled_extras == extras
 
     @pytest.mark.parametrize("retrieval", [True, False])
     def test_backbone_mae_extras(self, retrieval):

@@ -537,6 +537,83 @@ class TestForwardBatch:
         assert report.passed, report.summary()
 
 
+    def test_masked_rows_share_one_query_and_selection(self, monkeypatch):
+        """16 same-hour instances over n regions, m of them masked, no
+        exclusion: selection runs once, on 16·(n − m) + m distinct rows, and
+        every row's selection, weights and prior match a one-instance forward."""
+        city = generate_synthetic_city(
+            SyntheticSpec(n_regions=6, d_c=6, n_archetypes=2, t_total=24 * 19 + 1, noise_scale=0.15, seed=4)
+        )
+        windows = make_windows(city)
+        model = live_model()
+        model.set_norm(float(city.demand.mean()), float(city.demand.std()))
+        contexts, masked, k, temperature = city.contexts(), [1, 4], 3, 0.1
+        bank = build_bank(windows[:120], [0, 2, 3, 5], contexts, model.encode_entries, model.encoder_version())
+        chunk = [w for w in windows if w.hour == windows[130].hour][-16:]
+        assert len(chunk) == 16
+        views = [masked_view(inst, masked) for inst in chunk]
+        select, calls = model_module.select_top_batch, []
+
+        def recording_select(*args):
+            calls.append(args[1].shape[0])
+            return select(*args)
+
+        monkeypatch.setattr(model_module, "select_top_batch", recording_select)
+        with ad.no_grad():
+            res = model.forward_batch(
+                contexts, np.stack([v.history for v in views]), np.stack([v.mask for v in views]),
+                [v.hour for v in views], bank=bank, k=k, temperature=temperature,
+            )
+        n, m, n_inst = city.n_regions, len(masked), len(chunk)
+        assert calls == [n_inst * (n - m) + m]
+        for b, view in enumerate(views):
+            single = model.forward(
+                contexts, view.history, view.mask, view.hour, bank=bank, k=k, temperature=temperature
+            )
+            rows = slice(b, None, n_inst)  # region-major: row i * B + b
+            assert np.array_equal(res.selected[rows], single.selected)
+            assert np.allclose(res.weights[rows], single.weights, rtol=0.0, atol=1e-12)
+            assert np.allclose(res.prior.value[rows], single.prior.value, rtol=1e-12, atol=1e-12)
+            assert np.allclose(res.y_hat.value[rows], single.y_hat.value, rtol=1e-12, atol=1e-12)
+        for i in masked:  # one query per masked region, gathered to each of its rows
+            q = res.queries.value[i * n_inst : (i + 1) * n_inst]
+            assert np.array_equal(q, np.broadcast_to(q[0], q.shape))
+
+    def test_training_selects_every_row_once(self, monkeypatch):
+        """With exclusion anchors every row is its own key, masked or not:
+        the selected query rows sum to the batch's rows."""
+        model, instances, contexts, observable, bank = batch_setup()
+        select, rows = model_module.select_top_batch, []
+
+        def recording_select(*args):
+            rows.append(args[1].shape[0])
+            return select(*args)
+
+        monkeypatch.setattr(model_module, "select_top_batch", recording_select)
+        batch_loss(model, instances, contexts, observable, [1, 4], bank, toy_train_config())
+        assert sum(rows) == len(instances) * len(observable)
+
+    def test_shared_queries_pass_gradients(self):
+        """A taped forward whose masked rows share queries (no exclusion)
+        sends each shared query the sum of its rows' gradients."""
+        model, windows, contexts = grad_toy()
+        bank = build_bank(windows[:30], [0, 2, 3], contexts, model.encode_entries, "v")
+        batch = [windows[31], windows[7]]  # anchors 24 apart: one hour
+        assert batch[0].hour == batch[1].hour
+        views = [masked_view(inst, [1]) for inst in batch]
+
+        def loss():
+            res = model.forward_batch(
+                contexts, np.stack([v.history for v in views]), np.stack([v.mask for v in views]),
+                [v.hour for v in views], bank=bank, k=2, temperature=0.1,
+                true_futures=np.stack([inst.future for inst in batch]),
+            )
+            return ad.add(ad.mean(ad.absolute(res.y_hat)), res.l_ret)
+
+        report = grad_check(loss, model.store, eps=1e-5, tol=1e-4)
+        assert report.passed, report.summary()
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -574,6 +651,14 @@ class TestValidationMetrics:
         err = np.concatenate(errors)
         assert abs(mae - np.abs(err).mean()) <= 1e-12 * mae
         assert abs(rmse - np.sqrt((err * err).mean())) <= 1e-12 * rmse
+
+    def test_any_instance_order_gives_the_same_metrics(self):
+        model, city, val, observable, val_inactive, bank, cfg = validation_setup()
+        ordered = validation_metrics(model, val, city.contexts(), observable, bank, cfg, val_inactive)
+        shuffled = [val[i] for i in np.random.default_rng(1).permutation(len(val))]
+        got = validation_metrics(model, shuffled, city.contexts(), observable, bank, cfg, val_inactive)
+        for a, b in zip(got, ordered):
+            assert abs(a - b) <= 1e-12 * b
 
     def test_blind_to_regions_outside_the_observable_set(self):
         model, city, val, observable, val_inactive, bank, cfg = validation_setup()
