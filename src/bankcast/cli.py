@@ -160,6 +160,11 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {config['protocol']!r}")
     if not config["seeds"]:
         raise ConfigError("seeds list must not be empty")
+    named_seeds = [("seeds", s) for s in config["seeds"]]
+    named_seeds += [(f"synthetic.{k}", config["synthetic"][k]) for k in ("seed", "target_seed")]
+    for name, seed in named_seeds:
+        if seed < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {seed}")
     if config["n_holdout"] < 1:
         raise ConfigError(f"n_holdout must be at least 1, got {config['n_holdout']}")
     try:
@@ -272,7 +277,7 @@ def _load_pretrained(config: dict) -> ProtocolRun | None:
     if model.config.retrieval_enabled:
         bank, _ = load_bank(bank_path, expected_encoder_version=model.encoder_version())
         model.refresh_bank(bank)
-    return ProtocolRun(model=model, bank=bank, train_result=None, holdout=model.holdout)
+    return ProtocolRun(model=model, bank=bank, train_result=None)
 
 
 def cmd_eval(config: dict) -> int:
@@ -295,10 +300,10 @@ def cmd_eval(config: dict) -> int:
         # a pretrained model and bank are only cold-start for the holdout they were trained on
         for seed in config["seeds"]:
             holdout = choose_holdout(city.n_regions, config["n_holdout"], seed)
-            if holdout != pretrained.holdout:
+            if holdout != pretrained.model.holdout:
                 raise VersionMismatchError(
                     f"seed {seed} holds out regions {holdout}, but the checkpoint was trained "
-                    f"with holdout {pretrained.holdout}; train one checkpoint per seed"
+                    f"with holdout {pretrained.model.holdout}; train one checkpoint per seed"
                 )
 
     for seed in config["seeds"]:
@@ -323,6 +328,10 @@ def cmd_eval(config: dict) -> int:
     return 0
 
 
+def _fixed(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6f}"
+
+
 def cmd_ablate(config: dict) -> int:
     if not config["model"]["retrieval_enabled"]:
         # without retrieval the loss weight has nothing to act on, and no prior to measure
@@ -336,30 +345,15 @@ def cmd_ablate(config: dict) -> int:
     ratios = tuple(config["split_ratios"])
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
-        result = run_ablation_lret(source, target, tc, mc, config["n_holdout"], ratios)
-        seed_dir = report_dir / f"seed_{seed}"
-        doc = {
-            "config_hash": h,
-            "seed": seed,
-            "rmse_delta": result["rmse_delta"],
-            "prior_l2_delta": result["prior_l2_delta"],
-            "arms": {
-                label: {
-                    "lambda_ret": arm["lambda_ret"],
-                    "val_prior_future_l2": arm["val_prior_future_l2"],
-                    "test": arm["test"].as_dict(),
-                }
-                for label, arm in result["arms"].items()
-            },
-        }
-        write_text(seed_dir / "ablation.json", json.dumps(doc, sort_keys=True, indent=2))
-        print(
-            f"seed {seed} [ablation]: rmse with/without ret loss "
-            f"{result['arms']['with_ret_loss']['test'].overall.rmse:.6f}/"
-            f"{result['arms']['no_ret_loss']['test'].overall.rmse:.6f}, "
-            f"val prior-L2 {result['arms']['with_ret_loss']['val_prior_future_l2']:.6f}/"
-            f"{result['arms']['no_ret_loss']['val_prior_future_l2']:.6f}"
+        doc = run_ablation_lret(source, target, tc, mc, config["n_holdout"], ratios)
+        write_text(
+            report_dir / f"seed_{seed}" / "ablation.json",
+            json.dumps({"config_hash": h, "seed": seed, **doc}, sort_keys=True, indent=2),
         )
+        arms = [doc["arms"][label] for label in ("with_ret_loss", "no_ret_loss")]
+        rmse = "/".join(f"{arm['test']['overall']['rmse']:.6f}" for arm in arms)
+        l2 = "/".join(_fixed(arm["val_prior_future_l2"]) for arm in arms)
+        print(f"seed {seed} [ablation]: rmse with/without ret loss {rmse}, val prior-L2 {l2}")
     return 0
 
 
@@ -395,7 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     p_train = sub.add_parser("train", help="train one model; write checkpoint, bank, log")
     p_train.add_argument("--dry-run", action="store_true", help="validate config and shapes only")
     sub.add_parser("eval", help="run the configured protocol across all seeds")
-    sub.add_parser("ablate", help="paired retrieval-loss ablation runs")
     sub.add_parser("grad-check", help="finite-difference check of the full objective")
 
     args = parser.parse_args(argv)
@@ -407,8 +400,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(config, dry_run=args.dry_run)
         if args.command == "eval":
             return cmd_eval(config)
-        if args.command == "ablate":
-            return cmd_ablate(config)
         if args.command == "grad-check":
             return cmd_grad_check(config)
         raise ConfigError(f"unknown command {args.command!r}")

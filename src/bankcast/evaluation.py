@@ -102,7 +102,6 @@ class ProtocolRun:
     model: Model
     bank: MemoryBank | None
     train_result: TrainResult | None  # None when the model was loaded from a checkpoint
-    holdout: list[int]
 
 
 def _windows(
@@ -127,7 +126,7 @@ def train_for_protocol(
     model = Model(model_config, seed=train_config.seed)
     model.holdout = holdout
     result = train(model, city, observable, windows["train"], windows["val"], train_config)
-    return ProtocolRun(model=model, bank=result.bank, train_result=result, holdout=holdout)
+    return ProtocolRun(model=model, bank=result.bank, train_result=result)
 
 
 def predict_city(
@@ -244,11 +243,10 @@ def _protocol_report(
     city: CityDataset,
     masked: list[int],
     instances: list[ForecastInstance],
-    eval_split: str,
     train_config: TrainConfig,
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
-    """Forecast `instances` of `city` with `masked` zero-masked and report on
-    them: the one body of both protocols."""
+    """Forecast the test `instances` of `city` with `masked` zero-masked and
+    report on them: the one body of both protocols."""
     preds, targets, extras = predict_city(
         run.model, city, instances, masked, run.bank, train_config, collect_priors=True
     )
@@ -267,8 +265,7 @@ def _protocol_report(
             **_fusion_gain(extras, cold, obs),
             "source_city": source_name,
             "target_city": city.name,
-            "source_holdout": run.holdout,
-            "eval_split": eval_split,
+            "source_holdout": run.model.holdout,
             "best_epoch": None if result is None else result.best_epoch,
             "best_val_mae": None if result is None else result.best_val_mae,
             "retrieval_enabled": run.model.config.retrieval_enabled,
@@ -294,9 +291,7 @@ def run_coldstart(
     """
     run = _source_run(city, train_config, model_config, n_holdout, ratios, run)
     test = _windows(city, run.model.config, ratios)["test"]
-    return _protocol_report(
-        "coldstart", run, city.name, city, run.holdout, test, "test", train_config
-    )
+    return _protocol_report("coldstart", run, city.name, city, run.model.holdout, test, train_config)
 
 
 def run_transfer(
@@ -307,13 +302,12 @@ def run_transfer(
     n_holdout: int = DEFAULT_N_HOLDOUT,
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     run: ProtocolRun | None = None,
-    eval_split: str = "test",
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
-    """Pretrain on the source city, evaluate unchanged on the target city.
+    """Pretrain on the source city, evaluate unchanged on the target city's
+    test windows.
 
     Retrieval candidates all come from the source-city bank; no target
-    fine-tuning happens. `eval_split` selects the target windows ("test" or
-    "val" for ablation diagnostics).
+    fine-tuning happens.
     """
     if source_city.d_c != target_city.d_c:
         raise DataError(
@@ -321,10 +315,8 @@ def run_transfer(
         )
     run = _source_run(source_city, train_config, model_config, n_holdout, ratios, run)
     masked = choose_holdout(target_city.n_regions, n_holdout, train_config.seed)
-    instances = _windows(target_city, run.model.config, ratios)[eval_split]
-    return _protocol_report(
-        "transfer", run, source_city.name, target_city, masked, instances, eval_split, train_config
-    )
+    test = _windows(target_city, run.model.config, ratios)["test"]
+    return _protocol_report("transfer", run, source_city.name, target_city, masked, test, train_config)
 
 
 def run_ablation_lret(
@@ -335,33 +327,34 @@ def run_ablation_lret(
     n_holdout: int = DEFAULT_N_HOLDOUT,
     ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
 ) -> dict:
-    """Paired transfer runs differing only in the retrieval-loss weight (vs 0).
+    """Paired transfer runs differing only in the retrieval-loss weight (vs 0),
+    as a JSON-ready document.
 
-    Reports per-arm metrics plus the mean L2 between retrieved prior and true
-    future on the target validation split, the quantity the retrieval loss is
-    supposed to improve.
+    Each arm holds its weight, its test report (`EvalReport.as_dict()`) and
+    the mean L2 between retrieved prior and true future on the target's
+    validation windows, masked as its test report masks them: the quantity
+    the retrieval loss is supposed to improve. The L2 is None when no
+    validation row retrieves, and so is `prior_l2_delta` when either arm's is.
     """
     arms = {}
     for label, lam in (("with_ret_loss", train_config.lambda_ret), ("no_ret_loss", 0.0)):
         cfg = replace(train_config, lambda_ret=lam)
-        report, run, _, _ = run_transfer(
-            source_city, target_city, cfg, model_config, n_holdout, ratios
-        )
-        val_report, _, _, _ = run_transfer(
-            source_city, target_city, cfg, model_config, n_holdout, ratios,
-            run=run, eval_split="val",
+        report, run, _, _ = run_transfer(source_city, target_city, cfg, model_config, n_holdout, ratios)
+        val = _windows(target_city, run.model.config, ratios)["val"]
+        _, _, extras = predict_city(
+            run.model, target_city, val, report.holdout, run.bank, cfg, collect_priors=True
         )
         arms[label] = {
             "lambda_ret": lam,
-            "test": report,
-            "val_prior_future_l2": val_report.extras["prior_future_l2"],
+            "test": report.as_dict(),
+            "val_prior_future_l2": extras["prior_future_l2"],
         }
+    with_l2, without_l2 = (arms[a]["val_prior_future_l2"] for a in ("with_ret_loss", "no_ret_loss"))
     return {
         "arms": arms,
-        "rmse_delta": arms["with_ret_loss"]["test"].overall.rmse
-        - arms["no_ret_loss"]["test"].overall.rmse,
-        "prior_l2_delta": (arms["with_ret_loss"]["val_prior_future_l2"] or 0.0)
-        - (arms["no_ret_loss"]["val_prior_future_l2"] or 0.0),
+        "rmse_delta": arms["with_ret_loss"]["test"]["overall"]["rmse"]
+        - arms["no_ret_loss"]["test"]["overall"]["rmse"],
+        "prior_l2_delta": None if with_l2 is None or without_l2 is None else with_l2 - without_l2,
     }
 
 

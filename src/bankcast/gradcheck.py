@@ -19,7 +19,7 @@ from .data import SyntheticSpec, generate_synthetic_city, make_windows
 from .errors import NondeterministicLoss
 from .model import Model, ModelConfig
 from .retrieval import build_bank
-from .training import TrainConfig, instance_loss
+from .training import TrainConfig, batch_loss
 
 SUBSAMPLE_THRESHOLD = 10_000
 
@@ -142,6 +142,6 @@ def toy_objective(seed: int) -> tuple[Model, Callable[[], tuple[Var, Var, Var | 
     tc = TrainConfig(k=2, lambda_ret=0.2, temperature=0.1)
 
     def losses():
-        return instance_loss(model, instance, contexts, [0, 1, 2, 3], [1], bank, tc)
+        return batch_loss(model, [instance], contexts, [0, 1, 2, 3], [1], bank, tc)
 
     return model, losses

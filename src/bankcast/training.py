@@ -37,6 +37,13 @@ LOG_COLUMNS = (
     "seconds",
 )
 
+# Adam's moment decays and denominator guard, and the global gradient-norm
+# cap applied before every step
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+CLIP_NORM = 5.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -48,10 +55,6 @@ class TrainConfig:
     temperature: float = 0.1
     n_inactive_per_batch: int = 6
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 5.0
     patience: int = 10
 
     def validate(self) -> None:
@@ -61,6 +64,10 @@ class TrainConfig:
             raise ConfigError("epochs, batch_size, and k must be positive")
         if self.temperature <= 0 or self.learning_rate < 0:
             raise ConfigError("temperature must be positive and learning_rate nonnegative")
+        if self.n_inactive_per_batch < 0:
+            raise ConfigError(f"n_inactive_per_batch must be nonnegative, got {self.n_inactive_per_batch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 class Adam:
@@ -73,27 +80,17 @@ class Adam:
     moments, a step without a gradient decays them as a zero gradient would.
     """
 
-    def __init__(
-        self,
-        store: ParamStore,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, store: ParamStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, var in self.store.items():
             if name not in self.m:
                 if var.grad is None:
@@ -101,22 +98,23 @@ class Adam:
                 self.m[name] = np.zeros_like(var.value)
                 self.v[name] = np.zeros_like(var.value)
             g = var.grad if var.grad is not None else np.zeros_like(var.value)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            var.value = var.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            var.value = var.value - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
-def clip_gradients(store: ParamStore, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_gradients(store: ParamStore) -> float:
+    """Scale all gradients so their global L2 norm is at most CLIP_NORM;
+    returns the norm before scaling."""
     total = 0.0
     for _, var in store.items():
         if var.grad is not None:
             total += float((var.grad * var.grad).sum())
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
+    if norm > CLIP_NORM:
+        factor = CLIP_NORM / norm
         for _, var in store.items():
             if var.grad is not None:
                 var.grad = var.grad * factor
@@ -217,7 +215,9 @@ def instance_loss(
     bank: MemoryBank | None,
     config: TrainConfig,
 ) -> tuple[Var, Var, Var | None]:
-    """`batch_loss` of a single masked training instance."""
+    """`batch_loss` of a single masked training instance. Training calls
+    `batch_loss`; this stays for the benchmark's tracer and gradient check
+    until they move to batches."""
     return batch_loss(model, [instance], contexts, observable, inactive, bank, config)
 
 
@@ -337,7 +337,7 @@ def train(
         _, val_inactive = sample_active(
             observable, config.n_inactive_per_batch, np.random.default_rng((config.seed, 0x5EED))
         )
-    optimizer = Adam(model.store, config.learning_rate, config.beta1, config.beta2, config.eps)
+    optimizer = Adam(model.store, config.learning_rate)
     log_rows: list[dict] = []
     best_val = np.inf
     best_epoch = -1
@@ -363,7 +363,7 @@ def train(
                 )
             model.store.zero_grad()
             ad.backward(total)
-            norm_sum += clip_gradients(model.store, config.clip_norm)
+            norm_sum += clip_gradients(model.store)
             optimizer.step()
             loss_sum += float(total.value)
             pred_sum += float(l_pred.value)

@@ -261,19 +261,24 @@ def transfer_runs(transfer_city_pair):
     prior quality is collected for criterion 7.
     """
     source, target = transfer_city_pair
+    _, target_val, _ = split_windows(make_windows(target))
     out = {}
     t0 = time.perf_counter()
+
+    def val_prior_l2(rep, run, tc):
+        _, _, extras = predict_city(
+            run.model, target, target_val, rep.holdout, run.bank, tc, collect_priors=True
+        )
+        return extras["prior_future_l2"]
+
     for seed in SEEDS:
         tc = bench_train_config(seed)
         arms = {}
         rep, run, _, _ = run_transfer(source, target, tc)
-        val_rep, _, _, _ = run_transfer(source, target, tc, run=run, eval_split="val")
-        arms["ret"] = {"test": rep, "val_prior_l2": val_rep.extras["prior_future_l2"]}
-        rep0, run0, _, _ = run_transfer(source, target, replace(tc, lambda_ret=0.0))
-        val_rep0, _, _, _ = run_transfer(
-            source, target, replace(tc, lambda_ret=0.0), run=run0, eval_split="val"
-        )
-        arms["no_ret_loss"] = {"test": rep0, "val_prior_l2": val_rep0.extras["prior_future_l2"]}
+        arms["ret"] = {"test": rep, "val_prior_l2": val_prior_l2(rep, run, tc)}
+        tc0 = replace(tc, lambda_ret=0.0)
+        rep0, run0, _, _ = run_transfer(source, target, tc0)
+        arms["no_ret_loss"] = {"test": rep0, "val_prior_l2": val_prior_l2(rep0, run0, tc0)}
         rep_g, _, _, _ = run_transfer(
             source, target, tc, model_config=ModelConfig(d_c=source.d_c, retrieval_enabled=False)
         )
@@ -371,20 +376,21 @@ def test_criterion_8_reproducibility(tmp_path):
 def test_criterion_9_mask_honesty(bench_city):
     tc = bench_train_config(1, epochs=1)
     report, run, _, _ = run_coldstart(bench_city, tc)
+    holdout = run.model.holdout
     windows = make_windows(bench_city)
     _, _, test_inst = split_windows(windows)
     rng = np.random.default_rng(3)
     pick = rng.choice(len(test_inst), size=20, replace=False)
     instances = [test_inst[i] for i in pick]
-    base_preds, _, _ = predict_city(run.model, bench_city, instances, run.holdout, run.bank, tc)
+    base_preds, _, _ = predict_city(run.model, bench_city, instances, holdout, run.bank, tc)
 
     tampered = generate_synthetic_city(BENCH_SPEC, name="bench")
-    tampered.demand[:, run.holdout] = rng.uniform(0, 500, size=tampered.demand[:, run.holdout].shape)
+    tampered.demand[:, holdout] = rng.uniform(0, 500, size=tampered.demand[:, holdout].shape)
     windows_t = make_windows(tampered)
     _, _, test_t = split_windows(windows_t)
     instances_t = [test_t[i] for i in pick]
     tampered_preds, _, _ = predict_city(
-        run.model, tampered, instances_t, run.holdout, run.bank, tc
+        run.model, tampered, instances_t, holdout, run.bank, tc
     )
     ok = np.array_equal(base_preds, tampered_preds)
     report_line(

@@ -128,20 +128,46 @@ class TestConfigResolution:
     # the model or the selection and fail there with a traceback (exit 1);
     # a train value out of range was reported as a data error (exit 3); a
     # negative n_holdout or bad split_ratios passed the dry run, then failed
-    # with a traceback or exit 3; stop_key_grad is no longer a model key
+    # with a traceback or exit 3; stop_key_grad is no longer a model key, nor
+    # are the optimizer constants of `training` train keys
     @pytest.mark.parametrize("override", [
         "train.k=abc", "train.k=2.5", "model.d_r=abc", "model.retrieval_enabled=1",
         "train.learning_rate=true", "seeds=[1.5]", "synthetic=3",
         "model.d_r=-1", "model.d_g=0", "model.gcn_layers=-1",
         "train.k=0", "train.temperature=0",
         "n_holdout=-1", "n_holdout=0", "split_ratios=[0.5,0.6,0.2]", "split_ratios=[0.5,0.5]",
-        "model.stop_key_grad=false",
+        "model.stop_key_grad=false", "train.clip_norm=1", "train.beta1=1", "train.beta2=1", "train.eps=1",
+        # negative seeds and inactive counts used to reach numpy and fail
+        # there with a traceback (exit 1)
+        "seeds=[-1]", "synthetic.seed=-1", "synthetic.target_seed=-5", "train.n_inactive_per_batch=-1",
     ])
     def test_bad_value_exits_2(self, override, tmp_path, capsys):
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
         assert run_cli("--config", str(p), "--set", override, "train", "--dry-run") == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,command,key", [
+        ("seeds=[-1]", "train", "seeds"),
+        ("train.n_inactive_per_batch=-1", "train", "n_inactive_per_batch"),
+        ("synthetic.seed=-1", "generate", "synthetic.seed"),
+        ("synthetic.target_seed=-5", "generate", "synthetic.target_seed"),
+    ])
+    def test_negative_seed_or_count_exits_2_naming_its_key(self, override, command, key, tmp_path, capsys):
+        p = fast_config(tmp_path, protocol="transfer")
+        if command == "train":
+            run_cli("--config", str(p), "generate")
+        capsys.readouterr()
+        assert run_cli("--config", str(p), "--set", override, command) == 2
+        assert f"config error: {key} must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / ("checkpoint.bin" if command == "train" else "source.json")).exists()
+
+    def test_ablate_is_not_a_command(self, tmp_path, capsys):
+        # the ablation runs through `eval` with protocol ablation
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("--config", str(fast_config(tmp_path, protocol="ablation")), "ablate")
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'ablate'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["train.temperature=1", "model.gcn_layers=0", "model.head_blocks=0"])
     def test_integer_for_number_and_zero_depths_accepted(self, override, tmp_path):
@@ -227,13 +253,16 @@ class TestGenerate:
         assert doc["config_hash"] == frozen["config_hash"]
 
 
-@pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate"])
+@pytest.mark.parametrize(
+    "command", [["generate"], ["train"], ["eval"], ["--set", "protocol=ablation", "eval"]],
+    ids=["generate", "train", "eval", "eval-ablation"],
+)
 def test_report_dir_that_is_a_file_exits_3(command, tmp_path, capsys):
     # every subcommand that runs an experiment first freezes its config there
     p = fast_config(tmp_path)
     report_dir = tmp_path / "afile"
     report_dir.write_text("")
-    assert run_cli("--config", str(p), "--set", f"paths.report_dir={report_dir}", command) == 3
+    assert run_cli("--config", str(p), "--set", f"paths.report_dir={report_dir}", *command) == 3
     err = capsys.readouterr().err
     assert "data error" in err and str(report_dir) in err
     assert report_dir.read_text() == ""
@@ -596,20 +625,42 @@ class TestAblate:
     def test_paired_reports(self, tmp_path, capsys):
         p = fast_config(tmp_path, protocol="ablation")
         run_cli("--config", str(p), "generate")
-        assert run_cli("--config", str(p), "ablate") == 0
+        assert run_cli("--config", str(p), "eval") == 0
         doc = json.loads((tmp_path / "runs" / "seed_1" / "ablation.json").read_text())
         assert doc["arms"]["with_ret_loss"]["lambda_ret"] == 0.2
         assert doc["arms"]["no_ret_loss"]["lambda_ret"] == 0.0
         assert doc["arms"]["with_ret_loss"]["test"]["seed"] == 1
         assert doc["arms"]["no_ret_loss"]["test"]["seed"] == 1
+        l2 = [doc["arms"][arm]["val_prior_future_l2"] for arm in ("with_ret_loss", "no_ret_loss")]
+        assert doc["prior_l2_delta"] == l2[0] - l2[1]
+        assert "val prior-L2 " + "/".join(f"{x:.6f}" for x in l2) in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["ablate", "eval"])
-    def test_retrieval_off_is_a_config_error(self, command, tmp_path, capsys):
-        # it used to train both arms, then end in a TypeError formatting a None prior L2
+    def test_no_validation_prior_is_reported_as_null(self, tmp_path, capsys):
+        # a 12/4/4 split: no val hour is in the bank, so no val row retrieves;
+        # it used to write ablation.json, then end in a TypeError formatting
+        # the missing prior L2, and read a missing L2 as 0.0 in the delta
         p = fast_config(tmp_path, protocol="ablation")
-        run_cli("--config", str(p), "generate")
+        short = ["--set", "synthetic.t_total=67", "--set", "train.epochs=1"]
+        assert run_cli("--config", str(p), *short, "generate") == 0
+        assert "train/val/test 12/4/4" in capsys.readouterr().out
+        assert run_cli("--config", str(p), *short, "eval") == 0
+        doc = json.loads((tmp_path / "runs" / "seed_1" / "ablation.json").read_text())
+        assert doc["prior_l2_delta"] is None
+        assert doc["arms"]["with_ret_loss"]["val_prior_future_l2"] is None
+        assert doc["arms"]["no_ret_loss"]["val_prior_future_l2"] is None
+        assert "val prior-L2 n/a/n/a" in capsys.readouterr().out
+
+    # the protocol comes from the config file, or from --set on a cold-start config
+    @pytest.mark.parametrize(
+        "config_protocol,protocol", [("ablation", []), ("coldstart", ["--set", "protocol=ablation"])],
+        ids=["eval", "eval-set-protocol"],
+    )
+    def test_retrieval_off_is_a_config_error(self, config_protocol, protocol, tmp_path, capsys):
+        # it used to train both arms, then end in a TypeError formatting a None prior L2
+        p = fast_config(tmp_path, protocol=config_protocol)
+        run_cli("--config", str(p), *protocol, "generate")
         capsys.readouterr()
-        assert run_cli("--config", str(p), "--set", "model.retrieval_enabled=false", command) == 2
+        assert run_cli("--config", str(p), *protocol, "--set", "model.retrieval_enabled=false", "eval") == 2
         err = capsys.readouterr().err
         assert "config error" in err and "retrieval_enabled" in err
         assert not (tmp_path / "runs" / "seed_1").exists()

@@ -113,7 +113,7 @@ class TestColdstartProtocol:
 
     def test_holdout_not_in_bank(self):
         report, run, _, _, _ = self.run()
-        holdout = set(run.holdout)
+        holdout = set(run.model.holdout)
         assert run.bank is not None
         assert all(e.region_id not in holdout for e in run.bank.entries)
 
@@ -160,13 +160,13 @@ class TestColdstartProtocol:
         # perturbing held-out region histories in the raw dataset changes nothing
         report, run, preds, _, city = self.run()
         city2 = small_city()
-        city2.demand[:, run.holdout] += 77.0  # corrupt masked regions everywhere
+        city2.demand[:, run.model.holdout] += 77.0  # corrupt masked regions everywhere
         windows = make_windows(city2)
         _, _, test_inst = split_windows(windows)
         from bankcast.evaluation import predict_city
 
         preds2, _, _ = predict_city(
-            run.model, city2, test_inst, run.holdout, run.bank, quick_train_config(seed=1)
+            run.model, city2, test_inst, run.model.holdout, run.bank, quick_train_config(seed=1)
         )
         # contexts identical, histories of masked regions zeroed before use
         assert np.array_equal(preds, preds2)

@@ -5,7 +5,7 @@ import pytest
 
 from bankcast import autodiff as ad
 from bankcast import model as model_module
-from bankcast import numerics
+from bankcast import numerics, training
 from bankcast.data import (
     SyntheticSpec,
     generate_synthetic_city,
@@ -72,8 +72,8 @@ def test_adam_matches_an_all_parameter_adam_bit_for_bit():
     values = store.state_dict()
     m = {name: np.zeros(shape) for name, shape in shapes.items()}
     v = {name: np.zeros(shape) for name, shape in shapes.items()}
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    optimizer = Adam(store, lr, b1, b2, eps)
+    lr, b1, b2, eps = 1e-2, training.BETA1, training.BETA2, training.EPS
+    optimizer = Adam(store, lr)
     for t in range(1, 6):
         grads = {
             name: rng.normal(size=shape) if has_grad[name][t - 1] else None
