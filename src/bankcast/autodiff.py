@@ -260,7 +260,8 @@ def relu(a: Var) -> Var:
 
 def gelu(a: Var) -> Var:
     a = _to_var(a)
-    return _op(numerics.gelu(a.value), [(a, lambda g: g * numerics.gelu_grad(a.value))])
+    cdf = numerics.ndtr(a.value)
+    return _op(a.value * cdf, [(a, lambda g: g * numerics.gelu_grad(a.value, cdf))])
 
 
 def sigmoid(a: Var) -> Var:

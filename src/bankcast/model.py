@@ -200,6 +200,13 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
+    def region_graph(self, contexts: np.ndarray) -> tuple[Var, Var]:
+        """The node embeddings and the adjacency of a region set. They
+        depend only on its (n, d_c) contexts and the parameters, so a pass
+        that forwards many batches over one region set can build them once."""
+        node_embed = project_context(ad.constant(contexts), self.backbone.context_proj)
+        return node_embed, build_adjacency(node_embed)
+
     def forward(
         self,
         contexts: np.ndarray,
@@ -250,6 +257,7 @@ class Model:
         region_ids: np.ndarray | None = None,
         exclude_anchors: Sequence[int] | None = None,
         true_futures: np.ndarray | None = None,
+        graph: tuple[Var, Var] | None = None,
     ) -> ForwardResult:
         """Run B forecasting instances over one shared region set, on one tape.
 
@@ -263,7 +271,9 @@ class Model:
         (anchor, region id) bank entry from its candidates. Passing
         `true_futures` (B, H, n, raw) enables the retrieval alignment loss:
         the rows of instance b with candidates, c_b of them, each weigh
-        1/(B·c_b), so it is the mean of the per-instance losses.
+        1/(B·c_b), so it is the mean of the per-instance losses. `graph`,
+        `region_graph(contexts)` built by the caller, stands in for
+        building it here.
 
         Rows that share a query and a selection are encoded and selected
         once (see `distinct_query_rows`), then gathered back to every row;
@@ -280,8 +290,7 @@ class Model:
         hist_norm = self.normalize(np.asarray(histories)) * np.asarray(masks)[:, None, :]
         hist_rows = ad.constant(hist_norm.transpose(2, 0, 1).reshape(n_rows, -1))
 
-        node_embed = project_context(ad.constant(contexts), self.backbone.context_proj)
-        adjacency = build_adjacency(node_embed)
+        node_embed, adjacency = self.region_graph(contexts) if graph is None else graph
         temporal = encode_history(hist_rows, self.backbone.temporal_proj)
         # each region's node embedding, once per instance (a batch of one needs no gather)
         node_rows = node_embed if n_inst == 1 else ad.take_rows(node_embed, region_of_row)

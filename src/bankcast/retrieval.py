@@ -249,8 +249,9 @@ def select_top_batch(
     # the smaller-index tie rule, then each row keeps its first k finite ones
     pivot = cand.size - min(k, cand.size)
     kth = np.partition(scores, pivot, axis=1)[:, pivot]
-    row, col = np.nonzero(scores >= kth[:, None])
-    top = scores[row, col]
+    flat = np.flatnonzero(scores >= kth[:, None])
+    row, col = np.divmod(flat, scores.shape[1])
+    top = scores.ravel()[flat]
     order = np.lexsort((col, -top, row))
     row, col, top = row[order], col[order], top[order]
     counts = np.bincount(row, minlength=n)

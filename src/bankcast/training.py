@@ -98,10 +98,13 @@ class Adam:
                 self.m[name] = np.zeros_like(var.value)
                 self.v[name] = np.zeros_like(var.value)
             g = var.grad if var.grad is not None else np.zeros_like(var.value)
-            self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
-            self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            m_hat = m / bc1
+            v_hat = v / bc2
             var.value = var.value - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
@@ -239,18 +242,21 @@ def forecast_chunks(
     selection per hour of a chunk, and masked regions of one hour share one
     query. Each chunk's instances pass through `view` (the caller's masking)
     as the chunk is drawn, and the chunk is forwarded over the `observable`
-    regions without a tape. A forecast's last bits can depend on which rows
-    its chunk stacks; the chunks depend only on the set of instances, so the
-    same instances in any order get the same forecasts bit for bit. A result
+    regions without a tape, all chunks sharing one region graph (built once
+    per pass). A forecast's last bits can depend on which rows its chunk
+    stacks; the chunks depend only on the set of instances, so the same
+    instances in any order get the same forecasts bit for bit. A result
     still links its graph, so it is dropped before the next chunk's forward.
     """
     order = np.lexsort(([inst.t for inst in instances], [inst.hour for inst in instances]))
     out = []
     with ad.no_grad():
+        graph = model.region_graph(contexts[observable])
         for start in range(0, len(instances), config.batch_size):
             positions = order[start : start + config.batch_size]
             chunk = [instances[i] for i in positions]
-            res = _forward_views(model, [view(inst) for inst in chunk], contexts, observable, bank, config)
+            views = [view(inst) for inst in chunk]
+            res = _forward_views(model, views, contexts, observable, bank, config, graph=graph)
             out.append(consume(positions, chunk, res))
             del res
     return out

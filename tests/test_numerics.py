@@ -1,16 +1,74 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from bankcast import numerics
 
 
 def normal_cdf_quadrature(x: float) -> float:
     # independent oracle: integrate the standard normal pdf directly
+    quad = pytest.importorskip("scipy.integrate").quad
     val, _ = quad(lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi), -12.0, x)
     return val
+
+
+def ndtr_branch_edges() -> np.ndarray:
+    """Inputs at and beside every branch threshold of Cephes' ndtr, both signs:
+    |a| = 1 and √2 (erf / 1 - erf / exp tail), 8√2 (P/Q to R/S), about 37.5
+    to 37.7 (the MAXLOG underflow), far past it, and ±0, ±inf and NaN."""
+    edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.5, 37.6, 37.67, 37.68, 37.7, 40.0, 1e300]
+    near = [np.nextafter(a, toward) for a in edges for toward in (0.0, np.inf)]
+    magnitudes = np.array(edges + near + [0.0, np.inf, np.nan])
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+class TestNdtr:
+    def test_matches_scipy_bit_for_bit(self):
+        scipy_ndtr = pytest.importorskip("scipy.special").ndtr
+        rng = np.random.default_rng(20)
+        sample = np.concatenate([rng.normal(0.0, 3.0, 500_000), rng.uniform(-45.0, 45.0, 500_000)])
+        points = np.concatenate([sample, ndtr_branch_edges()])
+        for x in (points, points.reshape(2, -1)):
+            got = numerics.ndtr(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == scipy_ndtr(x).tobytes()
+        for a in np.concatenate([ndtr_branch_edges(), sample[:2000]]):
+            got = numerics.ndtr(np.float64(a))
+            assert got.shape == ()
+            assert got.tobytes() == scipy_ndtr(np.float64(a)).tobytes(), a
+
+    def test_tails_symmetry_and_nan(self):
+        assert numerics.ndtr(0.0) == 0.5
+        assert numerics.ndtr(-40.0) == 0.0 and numerics.ndtr(40.0) == 1.0
+        assert numerics.ndtr(-np.inf) == 0.0 and numerics.ndtr(np.inf) == 1.0
+        assert np.isnan(numerics.ndtr(np.nan))
+        xs = np.linspace(-8.0, 8.0, 1601)
+        assert np.allclose(numerics.ndtr(xs) + numerics.ndtr(-xs), 1.0, rtol=0.0, atol=1e-15)
+        assert np.all(np.diff(numerics.ndtr(xs)) >= 0.0)
+
+
+def test_the_runtime_imports_no_scipy():
+    # a fresh interpreter: import the command line and run one forward pass
+    script = """
+import sys
+import numpy as np
+import bankcast.cli
+from bankcast.model import Model, ModelConfig
+rng = np.random.default_rng(0)
+model = Model(ModelConfig(d_c=4, window=6, horizon=3), seed=0)
+res = model.forward_batch(rng.normal(size=(5, 4)), rng.normal(size=(2, 6, 5)), np.ones((2, 5)), [3, 4])
+assert res.y_hat.value.shape == (10, 3)
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestGelu:

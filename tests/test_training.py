@@ -660,6 +660,27 @@ class TestValidationMetrics:
         for a, b in zip(got, ordered):
             assert abs(a - b) <= 1e-12 * b
 
+    @pytest.mark.parametrize("pass_name", ["validation_metrics", "predict_city"])
+    def test_one_region_graph_per_pass(self, monkeypatch, pass_name):
+        # 11 windows forecast as 3 chunks over one region set
+        from bankcast.evaluation import predict_city
+
+        model, city, val, observable, val_inactive, bank, cfg = validation_setup()
+        built = []
+
+        def counting_build_adjacency(node_embed):
+            built.append(node_embed.value.shape[0])
+            return build_adjacency(node_embed)
+
+        build_adjacency = model_module.build_adjacency
+        monkeypatch.setattr(model_module, "build_adjacency", counting_build_adjacency)
+        if pass_name == "validation_metrics":
+            validation_metrics(model, val, city.contexts(), observable, bank, cfg, val_inactive)
+            assert built == [len(observable)]
+        else:
+            predict_city(model, city, val, [5], bank, cfg)
+            assert built == [city.n_regions]
+
     def test_blind_to_regions_outside_the_observable_set(self):
         model, city, val, observable, val_inactive, bank, cfg = validation_setup()
         before = validation_metrics(model, val, city.contexts(), observable, bank, cfg, val_inactive)

@@ -23,8 +23,10 @@ fresh workers:
 For each unit and clock (wall time and `process_time`), it reports the
 median over all pairs of log(change / base) as a relative change, with a
 bootstrap 95 % interval of that median that resamples blocks, then pairs
-within them. It prints the report as one JSON object; the pairs go to
-stderr as they run. An A/A run (`--aa`) shows the noise floor: its interval
+within them. For each side it reports `peak_rss_mb`, the median over blocks
+of the worker's peak resident set size (set-up and both units included).
+It prints the report as one JSON object; the pairs go to stderr as they
+run. An A/A run (`--aa`) shows the noise floor: its interval
 should contain 0. The blocks and pairs are fixed, because that is the
 configuration whose A/A intervals were checked: 10 blocks of 10 pairs kept
 both units' intervals inside +-5 %, fewer did not.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -91,7 +94,8 @@ def worker(src: str, seed: int, arm: str) -> int:
         wall0, cpu0 = time.perf_counter(), time.process_time()
         units[unit]()
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
-        print(json.dumps({"wall": wall, "cpu": cpu}), flush=True)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        print(json.dumps({"wall": wall, "cpu": cpu, "peak_rss_mb": peak_mb}), flush=True)
     return 0
 
 
@@ -174,16 +178,19 @@ def compare(base_tree: Path, change_tree: Path, seed: int, arm: str) -> dict:
     """Time PAIRS ABBA pairs of each unit in each of BLOCKS blocks,
     each with a fresh worker per side: a process's memory layout can make
     it a few per cent faster or slower for its whole life, so blocks
-    turn that bias into spread that the interval shows."""
+    turn that bias into spread that the interval shows. Each side's
+    `peak_rss_mb` is the median over blocks of its worker's peak."""
     import numpy as np
 
     times = {unit: {side: {c: [] for c in CLOCKS} for side in ("base", "change")} for unit in UNITS}
+    peak_rss = {"base": [], "change": []}  # per block: the worker's last reply, its peak so far
     for block in range(BLOCKS):
         sides = {"base": Worker(base_tree, seed, arm), "change": Worker(change_tree, seed, arm)}
         for unit in UNITS:
             for side in times[unit].values():
                 for c in CLOCKS:
                     side[c].append([])
+        last_peak = {}
         try:
             for unit in UNITS:  # one unit each, not timed: caches and allocator warm-up
                 for w in sides.values():
@@ -195,12 +202,15 @@ def compare(base_tree: Path, change_tree: Path, seed: int, arm: str) -> dict:
                         t = sides[side].run(unit)
                         for c in CLOCKS:
                             times[unit][side][c][-1].append(t[c])
+                        last_peak[side] = t["peak_rss_mb"]
                     b, c = times[unit]["base"]["wall"][-1][-1], times[unit]["change"]["wall"][-1][-1]
                     print(f"block {block}  pair {i:>3}  {unit:<8}  base {b:.4f} s  change {c:.4f} s  "
                           f"ratio {c / b:.3f}", file=sys.stderr)
         finally:
             for w in sides.values():
                 w.close()
+        for side, peak in last_peak.items():
+            peak_rss[side].append(peak)
     report = {}
     for unit in UNITS:
         report[unit] = {}
@@ -211,7 +221,8 @@ def compare(base_tree: Path, change_tree: Path, seed: int, arm: str) -> dict:
                 "change_median_s": float(np.median(change)),
                 **summary([np.log(np.divide(ch, b)) for b, ch in zip(base, change)], 2000, seed),
             }
-    return report
+    peak_rss_mb = {side: float(np.median(peaks)) for side, peaks in peak_rss.items()}
+    return {"peak_rss_mb": peak_rss_mb, "units": report}
 
 
 def main() -> int:
@@ -238,7 +249,7 @@ def main() -> int:
     }
     with checkout(base) as base_tree:
         report = compare(base_tree, ROOT, args.seed, args.arm)
-    print(json.dumps({**header, "units": report}, indent=1))
+    print(json.dumps({**header, **report}, indent=1))
     return 0
 
 
