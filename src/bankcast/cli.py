@@ -56,12 +56,8 @@ from .training import TrainConfig, write_log_csv
 
 
 def _field_defaults(cls, skip: tuple[str, ...]) -> dict:
-    """A config dataclass's defaults by field name, tuples as JSON lists."""
-    return {
-        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-        for f in fields(cls)
-        if f.name not in skip
-    }
+    """A config dataclass's defaults by field name."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
 
 
 DEFAULT_CONFIG: dict = {
@@ -188,8 +184,7 @@ def freeze_config(config: dict, report_dir: Path) -> str:
 
 
 def synthetic_spec(config: dict) -> SyntheticSpec:
-    s = {k: v for k, v in config["synthetic"].items() if k != "target_seed"}
-    return SyntheticSpec(**{**s, "scale_range": tuple(s["scale_range"])})
+    return SyntheticSpec(**{k: v for k, v in config["synthetic"].items() if k != "target_seed"})
 
 
 def model_config(config: dict, d_c: int) -> ModelConfig:

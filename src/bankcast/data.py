@@ -28,6 +28,7 @@ LOCATION_SPREAD = 0.15
 WEEKEND_FACTOR = 0.85
 PROFILE_FLOOR = 0.1
 PROFILE_WIDTH_HOURS = 1.5
+SCALE_RANGE = (8.0, 20.0)  # (low, high) archetype demand volume
 SCALE_JITTER = 0.05  # per-region volume spread, in powers of high/low
 
 
@@ -85,14 +86,6 @@ class ForecastInstance:
     mask: np.ndarray  # (N,) of {0.0, 1.0}
     hour: int
 
-    @property
-    def window(self) -> int:
-        return self.history.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.future.shape[0]
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -102,7 +95,6 @@ class SyntheticSpec:
     t_total: int = 4281  # 4234 windows at W=H=24 -> 2540/847/847 split
     noise_scale: float = 0.3
     seed: int = 0
-    scale_range: tuple[float, float] = (8.0, 20.0)
 
     def validate(self) -> None:
         if self.n_archetypes < 2:
@@ -115,18 +107,15 @@ class SyntheticSpec:
             )
         if self.noise_scale < 0:
             raise DataError("noise_scale must be nonnegative")
-        if not (0 < self.scale_range[0] <= self.scale_range[1]):
-            raise DataError(f"bad scale_range {self.scale_range}")
 
 
-def archetype_scale_base(archetype: int, n_archetypes: int, scale_range: tuple[float, float]) -> float:
-    """Geometric per-archetype demand volume inside scale_range.
+def archetype_scale_base(archetype: int, n_archetypes: int) -> float:
+    """Geometric per-archetype demand volume inside SCALE_RANGE.
 
     Volume correlates with archetype (so with context), mirroring how a
-    region's function predicts its order volume; a degenerate range collapses
-    every archetype to the same scale.
+    region's function predicts its order volume.
     """
-    low, high = scale_range
+    low, high = SCALE_RANGE
     ratio = high / low
     return low * ratio ** ((archetype + 0.5) / n_archetypes)
 
@@ -158,9 +147,9 @@ def generate_synthetic_city(spec: SyntheticSpec, name: str = "synthetic") -> Cit
     n, d_c, n_arch = spec.n_regions, spec.d_c, spec.n_archetypes
 
     archetypes = np.arange(n) % n_arch
-    bases = np.array([archetype_scale_base(a, n_arch, spec.scale_range) for a in range(n_arch)])
-    ratio = spec.scale_range[1] / spec.scale_range[0]
-    scales = bases[archetypes] * ratio ** rng.normal(0.0, SCALE_JITTER, size=n)
+    bases = np.array([archetype_scale_base(a, n_arch) for a in range(n_arch)])
+    low, high = SCALE_RANGE
+    scales = bases[archetypes] * (high / low) ** rng.normal(0.0, SCALE_JITTER, size=n)
     cluster_centers = rng.uniform(0.0, 1.0, size=(n_arch, 2))
     locations = cluster_centers[archetypes] + rng.normal(0.0, LOCATION_SPREAD, size=(n, 2))
 
@@ -306,10 +295,11 @@ def load_city(path: str | Path) -> CityDataset:
     try:
         rows, cols = doc["demand"]["rows"], doc["demand"]["cols"]
         demand = np.array(doc["demand"]["values"], dtype=np.float64).reshape(rows, cols)
-        regions = [
-            Region(id=r["id"], context=np.array(r["context"], dtype=np.float64))
-            for r in doc["regions"]
-        ]
+        # one array for all contexts: a scalar or a nested context fails here
+        contexts = np.array([r["context"] for r in doc["regions"]], dtype=np.float64)
+        if contexts.ndim != 2:
+            raise ValueError(f"region contexts form a {contexts.shape} array, not (n_regions, d_c)")
+        regions = [Region(id=r["id"], context=c) for r, c in zip(doc["regions"], contexts)]
         hour_of_interval = (int(doc["hour0"]) + np.arange(rows)) % 24
         archetypes = np.array(doc["archetypes"]) if "archetypes" in doc else None
         city = CityDataset(

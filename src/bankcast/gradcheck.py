@@ -1,10 +1,9 @@
 """Finite-difference verification of reverse-mode gradients.
 
 The checker treats the loss as a black box over a ParamStore: it backprops
-once for analytic gradients, then perturbs every coordinate (or a seeded
-subsample when the parameter count is large) and compares against central
-differences. `toy_objective` is the full training objective on a toy city,
-set up so that every parameter carries gradient.
+once for analytic gradients, then perturbs every coordinate and compares
+against central differences. `toy_objective` is the full training objective
+on a toy city, set up so that every parameter carries gradient.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from .errors import NondeterministicLoss
 from .model import Model, ModelConfig
 from .retrieval import build_bank
 from .training import TrainConfig, batch_loss
-
-SUBSAMPLE_THRESHOLD = 10_000
 
 
 @dataclass
@@ -65,8 +62,6 @@ def grad_check(
     params: ParamStore,
     eps: float = 1e-5,
     tol: float = 1e-4,
-    max_coords: int = SUBSAMPLE_THRESHOLD,
-    seed: int = 0,
 ) -> GradCheckReport:
     """Compare reverse-mode gradients of loss_fn() against central differences.
 
@@ -88,25 +83,21 @@ def grad_check(
     analytic = {k: g.copy() for k, g in params.grads().items()}
     params.zero_grad()
 
-    coords = [(name, i) for name, var in params.items() for i in range(var.value.size)]
-    if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
-        pick = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[i] for i in sorted(pick)]
-
     report = GradCheckReport(eps=eps, tol=tol)
-    for name, i in coords:
-        flat = params[name].value.reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + eps
-        f_plus = _scalar(loss_fn())
-        flat[i] = orig - eps
-        f_minus = _scalar(loss_fn())
-        flat[i] = orig
-        fd = (f_plus - f_minus) / (2.0 * eps)
-        err = _rel_err(fd, float(analytic[name].reshape(-1)[i]))
-        report.per_param[name] = max(report.per_param.get(name, 0.0), err)
-        report.n_checked += 1
+    for name, var in params.items():
+        grad = analytic[name].reshape(-1)
+        for i in range(var.value.size):
+            flat = var.value.reshape(-1)
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = _scalar(loss_fn())
+            flat[i] = orig - eps
+            f_minus = _scalar(loss_fn())
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * eps)
+            err = _rel_err(fd, float(grad[i]))
+            report.per_param[name] = max(report.per_param.get(name, 0.0), err)
+            report.n_checked += 1
     return report
 
 
@@ -120,10 +111,7 @@ def toy_objective(seed: int) -> tuple[Model, Callable[[], tuple[Var, Var, Var | 
     an hour bucket with entries, so the retriever, the fusion and the
     alignment loss all carry gradient.
     """
-    spec = SyntheticSpec(
-        n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3,
-        scale_range=(8.0, 20.0),
-    )
+    spec = SyntheticSpec(n_regions=4, d_c=6, n_archetypes=2, t_total=60, noise_scale=0.2, seed=3)
     city = generate_synthetic_city(spec, name="toy")
     config = ModelConfig(
         d_c=6, window=4, horizon=4, d_g=6, d_z=5, hidden=16, head_blocks=3,

@@ -36,7 +36,6 @@ from .errors import ConfigError, DataError, VersionMismatchError
 from .fusion import FusionParams, fuse
 from .retrieval import (
     MemoryBank,
-    RetrievalRow,
     RetrieverParams,
     alignment_loss,
     encode_retrieval,
@@ -104,6 +103,16 @@ def distinct_query_rows(
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return first[order], rank[inverse]
+
+
+@dataclass
+class RetrievalRow:
+    """Selected entries for one region: indices, normalized weights, future prior."""
+
+    indices: np.ndarray  # entry indices into the bank, <= K of them
+    weights: np.ndarray  # same length, nonnegative, sums to 1
+    prior: np.ndarray  # (H,) weighted average of stored futures, raw scale
+    valid: bool  # False when the hour bucket had no candidates
 
 
 @dataclass

@@ -12,8 +12,7 @@ One routine, `select_top_batch`, does all top-K selection: it takes the
 query hour's slice of the keys, scores every query row against it with one
 GEMM, masks out the entries holding each row's excluded (anchor, region id)
 pair, and keeps the top K per row (ties to the smaller entry index). The
-model runs it on a whole region set; `retrieve` runs it on one query and
-turns the selection into softmax weights and a future prior. Only the
+model turns its picks into softmax weights and a future prior. Only the
 alignment loss re-encodes its selected entries so gradients can reach the
 key-side encoder.
 """
@@ -26,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import numerics
 from .artifacts import read_artifact, sha256_hex, write_artifact
 from .autodiff import ParamStore, Var
 from .backbone import ParamSpec, glorot, zeros
@@ -141,10 +139,6 @@ class MemoryBank:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def horizon(self) -> int:
-        return self.futures.shape[1]
-
     def refresh_keys(self, encode_fn, encoder_version: str) -> None:
         """Recompute all key embeddings (retriever parameters drift during training)."""
         self.install_keys(encode_fn(self.contexts, self.histories, self.hours), encoder_version)
@@ -201,16 +195,6 @@ def build_bank(
 # retrieval
 
 
-@dataclass
-class RetrievalRow:
-    """Selected entries for one region: indices, normalized weights, future prior."""
-
-    indices: np.ndarray  # entry indices into the bank, <= K of them
-    weights: np.ndarray  # same length, nonnegative, sums to 1
-    prior: np.ndarray  # (H,) weighted average of stored futures, raw scale
-    valid: bool  # False when the hour bucket had no candidates
-
-
 def select_top_batch(
     bank: MemoryBank,
     queries: np.ndarray,
@@ -260,28 +244,6 @@ def select_top_batch(
     ends = np.cumsum(np.bincount(row[keep], minlength=n)).tolist()
     idx, top = cand[col[keep]], top[keep]
     return [(idx[lo:hi], top[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
-
-
-def retrieve(
-    query: np.ndarray,
-    bank: MemoryBank,
-    hour: int,
-    k: int,
-    temperature: float,
-    exclude: tuple[int, int] | None = None,
-) -> RetrievalRow:
-    """Hour-filtered top-k retrieval with temperature-softmax weights and future prior."""
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    excludes = None if exclude is None else [exclude]
-    [(idx, scores)] = select_top_batch(bank, query[None, :], hour, k, excludes)
-    if idx.size == 0:
-        return RetrievalRow(
-            indices=idx, weights=np.empty(0), prior=np.zeros(bank.horizon), valid=False
-        )
-    weights = numerics.row_softmax(scores[None, :], temperature)[0]
-    prior = weights @ bank.futures[idx]
-    return RetrievalRow(indices=idx, weights=weights, prior=prior, valid=True)
 
 
 def future_nearest_batch(bank: MemoryBank, selected: np.ndarray, true_futures: np.ndarray) -> np.ndarray:

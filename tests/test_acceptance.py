@@ -24,8 +24,9 @@ from bankcast.evaluation import predict_city, run_coldstart, run_transfer
 from bankcast.autodiff import backward
 from bankcast.gradcheck import grad_check, toy_objective
 from bankcast.model import Model, ModelConfig
-from bankcast.retrieval import MemoryBank, bank_entries, retrieve
+from bankcast.retrieval import MemoryBank, bank_entries
 from bankcast.training import TrainConfig
+from retrieval_oracle import brute_force, model_rows
 
 SEEDS = (1, 2, 3)
 
@@ -123,30 +124,8 @@ def test_criterion_2_zero_init_identity():
 
 
 # ---------------------------------------------------------------------------
-# 3. retrieval oracle equivalence at 5k entries
-
-
-def brute_force(bank, query, hour, k, temperature, exclude):
-    scored = []
-    for idx, e in enumerate(bank.entries):
-        if e.hour != hour:
-            continue
-        if exclude is not None and (e.anchor, e.region_id) == exclude:
-            continue
-        scored.append((-float(np.dot(bank.keys[idx], query)), idx))
-    scored.sort()
-    top = scored[:k]
-    if not top:
-        return [], np.empty(0), np.zeros(bank.horizon)
-    scores = np.array([-s for s, _ in top])
-    idxs = [i for _, i in top]
-    z = (scores - scores.max()) / temperature
-    w = np.exp(z)
-    w /= w.sum()
-    prior = np.zeros(bank.horizon)
-    for wi, i in zip(w, idxs):
-        prior += wi * bank.futures[i]
-    return idxs, w, prior
+# 3. retrieval oracle equivalence at 5k entries: the selection and the prior
+# that `Model.forward_batch` runs, against a linear scan
 
 
 def test_criterion_3_retrieval_oracle_equivalence():
@@ -168,6 +147,7 @@ def test_criterion_3_retrieval_oracle_equivalence():
         for _ in range(3):
             keys[int(rng.integers(0, n_entries))] = keys[src]
     bank.install_keys(keys, "acceptance")
+    model = Model(ModelConfig(d_c=2, horizon=horizon, d_r=d_r))
 
     worst_w, worst_p = 0.0, 0.0
     for trial in range(200):
@@ -178,7 +158,7 @@ def test_criterion_3_retrieval_oracle_equivalence():
         if trial % 4 == 0:
             e = bank.entries[int(rng.integers(0, n_entries))]
             exclude = (e.anchor, e.region_id)
-        row = retrieve(q, bank, hour, k, 0.1, exclude)
+        [row] = model_rows(model, bank, q, hour, k, 0.1, None if exclude is None else [exclude])
         idxs, w, prior = brute_force(bank, q, hour, k, 0.1, exclude)
         assert row.indices.tolist() == idxs, f"top-K set mismatch at trial {trial}"
         if row.valid:

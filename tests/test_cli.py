@@ -140,6 +140,8 @@ class TestConfigResolution:
         # negative seeds and inactive counts used to reach numpy and fail
         # there with a traceback (exit 1)
         "seeds=[-1]", "synthetic.seed=-1", "synthetic.target_seed=-5", "train.n_inactive_per_batch=-1",
+        # the archetype volume range is the constant data.SCALE_RANGE
+        "synthetic.scale_range=[8,20]",
     ])
     def test_bad_value_exits_2(self, override, tmp_path, capsys):
         p = fast_config(tmp_path)
@@ -287,6 +289,24 @@ class TestTrain:
         assert run_cli("--config", str(p), "--set", dataset, "train", "--dry-run") == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(tmp_path / "unreadable.json") in err
+
+    # a scalar context raised IndexError in `CityDataset.validate`; a nested
+    # one loaded as an (N, d_c, 1) array and failed in `build_bank`
+    @pytest.mark.parametrize(
+        "rewrite", [lambda c: c[0], lambda c: [[v] for v in c]], ids=["scalar", "nested"]
+    )
+    def test_malformed_region_context_exits_3(self, rewrite, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        run_cli("--config", str(p), "generate")
+        dataset = tmp_path / "source.json"
+        doc = json.loads(dataset.read_text())
+        for region in doc["regions"]:
+            region["context"] = rewrite(region["context"])
+        dataset.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("--config", str(p), "train") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(dataset) in err
 
     @pytest.mark.parametrize("artifact,unwritable", [
         pytest.param("checkpoint", "directory", id="checkpoint"),

@@ -16,11 +16,11 @@ from bankcast.retrieval import (
     build_bank,
     encode_retrieval,
     future_nearest_batch,
-    retrieve,
     select_top_batch,
     save_bank,
     load_bank,
 )
+from retrieval_oracle import brute_force, model_rows
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -53,31 +53,6 @@ def bank_with_keys(entries, keys):
     bank = MemoryBank(entries)
     bank.install_keys(keys, "test")
     return bank
-
-
-def brute_force_retrieve(bank, query, hour, k, temperature, exclude=None):
-    """Independent linear scan with explicit tie-breaking, python loops only."""
-    scored = []
-    for idx, e in enumerate(bank.entries):
-        if e.hour != hour:
-            continue
-        if exclude is not None and (e.anchor, e.region_id) == exclude:
-            continue
-        s = float(np.dot(bank.keys[idx], query))
-        scored.append((-s, idx))
-    scored.sort()
-    top = scored[:k]
-    if not top:
-        return [], np.empty(0), np.zeros(bank.horizon)
-    scores = np.array([-s for s, _ in top])
-    idxs = [i for _, i in top]
-    z = (scores - scores.max()) / temperature
-    w = np.exp(z)
-    w = w / w.sum()
-    prior = np.zeros(bank.horizon)
-    for wi, i in zip(w, idxs):
-        prior += wi * bank.futures[i]
-    return idxs, w, prior
 
 
 class TestBuildBank:
@@ -233,13 +208,21 @@ class TestEncodeRetrieval:
 
 
 class TestRetrieve:
+    """One query at a time through the selection and the prior that
+    `Model.forward_batch` runs."""
+
+    def retrieve(self, query, bank, hour, k, temperature, exclude=None):
+        excludes = None if exclude is None else [exclude]
+        [row] = model_rows(Model(tiny_config()), bank, query, hour, k, temperature, excludes)
+        return row
+
     def test_hand_evaluated_two_entry_bank(self):
         entries = make_entries(2, hours=[9, 9])
         keys = np.zeros((2, 8))
         keys[0, 0] = 1.0
         keys[1, 1] = 1.0
         bank = bank_with_keys(entries, keys)
-        row = retrieve(keys[0], bank, 9, k=2, temperature=0.1)
+        row = self.retrieve(keys[0], bank, 9, k=2, temperature=0.1)
         # scores (1, 0) at T=0.1 -> softmax([10, 0])
         w0 = math.exp(10.0) / (math.exp(10.0) + 1.0)
         assert row.valid
@@ -251,7 +234,7 @@ class TestRetrieve:
     def test_k_exceeding_candidates(self):
         entries = make_entries(3, hours=[4, 4, 4])
         bank = bank_with_keys(entries, unit_keys(3, 8))
-        row = retrieve(unit_keys(1, 8, seed=9)[0], bank, 4, k=10, temperature=0.5)
+        row = self.retrieve(unit_keys(1, 8, seed=9)[0], bank, 4, k=10, temperature=0.5)
         assert row.indices.size == 3
         assert abs(row.weights.sum() - 1.0) < 1e-9
 
@@ -260,14 +243,14 @@ class TestRetrieve:
         bank = bank_with_keys(entries, unit_keys(40, 8, seed=3))
         q = unit_keys(1, 8, seed=5)[0]
         for h in range(24):
-            row = retrieve(q, bank, h, k=5, temperature=0.2)
+            row = self.retrieve(q, bank, h, k=5, temperature=0.2)
             for i in row.indices:
                 assert bank.entries[i].hour == h
 
     def test_empty_candidates_flagged(self):
         entries = make_entries(3, hours=[1, 1, 1])
         bank = bank_with_keys(entries, unit_keys(3, 8))
-        row = retrieve(unit_keys(1, 8)[0], bank, 7, k=3, temperature=0.1)
+        row = self.retrieve(unit_keys(1, 8)[0], bank, 7, k=3, temperature=0.1)
         assert not row.valid
         assert row.indices.size == 0
         assert np.all(row.prior == 0.0)
@@ -276,7 +259,7 @@ class TestRetrieve:
         entries = make_entries(4, hours=[6, 6, 6, 6])
         bank = bank_with_keys(entries, unit_keys(4, 8, seed=7))
         target = (entries[2].anchor, entries[2].region_id)
-        row = retrieve(bank.keys[2], bank, 6, k=4, temperature=0.1, exclude=target)
+        row = self.retrieve(bank.keys[2], bank, 6, k=4, temperature=0.1, exclude=target)
         assert 2 not in row.indices.tolist()
 
     def test_oracle_equivalence_with_ties(self):
@@ -285,8 +268,8 @@ class TestRetrieve:
         keys = unit_keys(4, 8, seed=11)[np.array([0, 1, 1, 2, 0, 3, 3, 2, 1, 0, 2, 3])]
         bank = bank_with_keys(entries, keys)
         q = unit_keys(1, 8, seed=13)[0]
-        row = retrieve(q, bank, 3, k=5, temperature=0.3)
-        idxs, w, prior = brute_force_retrieve(bank, q, 3, 5, 0.3)
+        row = self.retrieve(q, bank, 3, k=5, temperature=0.3)
+        idxs, w, prior = brute_force(bank, q, 3, 5, 0.3)
         assert row.indices.tolist() == idxs
         assert np.allclose(row.weights, w, atol=1e-12)
         assert np.allclose(row.prior, prior, atol=1e-12)
@@ -302,8 +285,8 @@ class TestRetrieve:
             if trial % 3 == 0:
                 e = bank.entries[int(rng.integers(0, 300))]
                 excl = (e.anchor, e.region_id)
-            row = retrieve(q, bank, h, k=8, temperature=0.25, exclude=excl)
-            idxs, w, prior = brute_force_retrieve(bank, q, h, 8, 0.25, exclude=excl)
+            row = self.retrieve(q, bank, h, k=8, temperature=0.25, exclude=excl)
+            idxs, w, prior = brute_force(bank, q, h, 8, 0.25, exclude=excl)
             assert row.indices.tolist() == idxs
             if row.valid:
                 assert np.allclose(row.weights, w, atol=1e-12)
@@ -314,7 +297,7 @@ class TestRetrieve:
         entries = make_entries(6, hours=[2] * 6)
         bank = bank_with_keys(entries, unit_keys(6, 8, seed=19))
         q = unit_keys(1, 8, seed=23)[0]
-        row = retrieve(q, bank, 2, k=4, temperature=0.5)
+        row = self.retrieve(q, bank, 2, k=4, temperature=0.5)
         scores = bank.keys[row.indices] @ q
         # weights strictly ordered consistently with scores
         assert np.all(np.argsort(-row.weights, kind="stable") == np.argsort(-scores, kind="stable"))
@@ -323,7 +306,7 @@ class TestRetrieve:
         entries = make_entries(50, hours=[5] * 50, seed=29)
         bank = bank_with_keys(entries, unit_keys(50, 8, seed=29))
         q = unit_keys(1, 8, seed=31)[0]
-        row = retrieve(q, bank, 5, k=8, temperature=1e-4)
+        row = self.retrieve(q, bank, 5, k=8, temperature=1e-4)
         assert row.weights.max() >= 1.0 - 1e-3
         best = row.indices[np.argmax(row.weights)]
         scores = bank.keys[bank.hour_index[5]] @ q
@@ -332,13 +315,13 @@ class TestRetrieve:
     def test_rejects_bad_args(self):
         entries = make_entries(2, hours=[0, 0])
         bank = bank_with_keys(entries, unit_keys(2, 8))
-        with pytest.raises(ValueError):
-            retrieve(unit_keys(1, 8)[0], bank, 0, k=0, temperature=0.1)
-        with pytest.raises(ValueError):
-            retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.0)
+        with pytest.raises(ValueError, match="k must be >= 1"):  # the selection's
+            self.retrieve(unit_keys(1, 8)[0], bank, 0, k=0, temperature=0.1)
+        with pytest.raises(ValueError, match="softmax temperature must be positive"):  # the prior's
+            self.retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.0)
         bank.keys = None
-        with pytest.raises(DataError):
-            retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.1)
+        with pytest.raises(DataError, match="bank has no keys"):
+            self.retrieve(unit_keys(1, 8)[0], bank, 0, k=2, temperature=0.1)
 
 
 E0, E1 = np.eye(8)[:2]
@@ -390,7 +373,7 @@ class TestSelectTopBatch:
         out = select_top_batch(bank, queries, hour, k, excludes)
         assert len(out) == queries.shape[0]
         for q, ex, (idx, scores) in zip(queries, excludes, out):
-            expect, w, _ = brute_force_retrieve(bank, q, hour, k, 0.3, exclude=ex)
+            expect, w, _ = brute_force(bank, q, hour, k, 0.3, exclude=ex)
             assert idx.tolist() == expect
             assert np.allclose(scores, bank.keys[idx] @ q, atol=1e-12)
             if idx.size:
@@ -421,7 +404,7 @@ class TestSelectTopBatch:
         for k, excludes in ks_and_excludes:
             out = select_top_batch(bank, queries, 3, k, excludes)
             for q, ex, (idx, scores) in zip(queries, excludes, out):
-                assert idx.tolist() == brute_force_retrieve(bank, q, 3, k, 0.3, exclude=ex)[0]
+                assert idx.tolist() == brute_force(bank, q, 3, k, 0.3, exclude=ex)[0]
                 assert np.allclose(scores, bank.keys[idx] @ q, atol=1e-12)
         assert [idx.tolist() for idx, _ in out] == [
             [3, 0, 2, 4, 6, 8, 1, 5, 7], [0, 2, 4, 6, 8, 1, 5, 7], [1, 7, 0, 2, 4, 6, 8, 3],
@@ -459,7 +442,7 @@ class TestSelectTopBatch:
                 excludes[1::2] = [excl(bank, int(i)) for i in rng.choice(bucket, size=3)]
             out = select_top_batch(bank, queries, hour, k, excludes)
             for q, ex, (idx, _) in zip(queries, excludes, out):
-                assert idx.tolist() == brute_force_retrieve(bank, q, hour, k, 0.3, exclude=ex)[0]
+                assert idx.tolist() == brute_force(bank, q, hour, k, 0.3, exclude=ex)[0]
 
 
 class TestFutureNearest:
