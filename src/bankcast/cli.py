@@ -3,8 +3,9 @@
 One JSON config document drives everything; `--set key=value` overrides
 scalar fields with dotted paths. Every run directory receives a frozen copy of
 the resolved config, and every artifact embeds the config hash it was produced
-from. Exit codes: 0 success, 2 config error, 3 data error, 4 numeric
-divergence, 5 artifact-version mismatch.
+from. Exit codes: 0 success, 1 other error, 2 config error, 3 data error,
+4 numeric divergence, 5 artifact-version mismatch; each error class in
+`errors` carries its code.
 """
 
 from __future__ import annotations
@@ -395,24 +396,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_train(config, dry_run=args.dry_run)
         if args.command == "eval":
             return cmd_eval(config)
-        if args.command == "grad-check":
-            return cmd_grad_check(config)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except (DataError,) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except DivergenceError as e:
-        print(f"numeric divergence: {e}", file=sys.stderr)
-        return 4
-    except VersionMismatchError as e:
-        print(f"artifact version mismatch: {e}", file=sys.stderr)
-        return 5
+        return cmd_grad_check(config)
     except BankcastError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

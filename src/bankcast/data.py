@@ -1,4 +1,7 @@
-"""Region/demand data structures, windowing, and the seeded synthetic city generator.
+"""The city dataset, windowing, and the seeded synthetic city generator.
+
+A city holds what its dataset file holds: an (N, d_c) context matrix, a (T, N)
+demand matrix and the hour of day of its first interval.
 
 The generator replaces external demand datasets and metadata embeddings with a
 controllable stand-in: regions belong to demand archetypes with distinct daily
@@ -32,23 +35,21 @@ SCALE_RANGE = (8.0, 20.0)  # (low, high) archetype demand volume
 SCALE_JITTER = 0.05  # per-region volume spread, in powers of high/low
 
 
-@dataclass(frozen=True)
-class Region:
-    id: int
-    context: np.ndarray  # (d_c,) float64, time-invariant descriptor
-
-
 @dataclass
 class CityDataset:
     name: str
-    regions: list[Region]
+    region_contexts: np.ndarray  # (N, d_c) float64, read-only; row i describes region i
     demand: np.ndarray  # (T_total, N) nonnegative order counts per interval
-    hour_of_interval: np.ndarray  # (T_total,) ints in [0, 24)
+    hour0: int  # hour of day of interval 0, in [0, 24)
     archetypes: np.ndarray | None = None  # generator ground truth, kept for analysis
+
+    def __post_init__(self) -> None:
+        self.region_contexts = self.region_contexts.view()
+        self.region_contexts.flags.writeable = False
 
     @property
     def n_regions(self) -> int:
-        return len(self.regions)
+        return self.region_contexts.shape[0]
 
     @property
     def t_total(self) -> int:
@@ -56,26 +57,30 @@ class CityDataset:
 
     @property
     def d_c(self) -> int:
-        return self.regions[0].context.shape[0]
+        return self.region_contexts.shape[1]
+
+    @property
+    def hour_of_interval(self) -> np.ndarray:
+        """(T_total,) hour of day of each interval."""
+        return (self.hour0 + np.arange(self.t_total)) % 24
 
     def contexts(self) -> np.ndarray:
-        """All region contexts stacked as an (N, d_c) matrix, aligned by id."""
-        return np.stack([r.context for r in self.regions])
+        """The read-only (N, d_c) context matrix, aligned by region id."""
+        return self.region_contexts
 
     def validate(self) -> None:
-        if self.demand.shape[1] != self.n_regions:
-            raise DataError("demand column count does not match region count")
-        if [r.id for r in self.regions] != list(range(self.n_regions)):
-            raise DataError("region ids must be 0..N-1 in order")
-        if len({r.context.shape[0] for r in self.regions}) != 1:
-            raise DataError("context dimension differs across regions")
+        """Every check on a city; `load_city` adds the rule on region ids,
+        since only a file carries ids."""
+        if self.region_contexts.ndim != 2:
+            raise DataError(f"region contexts form a {self.region_contexts.shape} array, not (n_regions, d_c)")
+        if not np.all(np.isfinite(self.region_contexts)):
+            raise DataError("region contexts contain non-finite values")
+        if self.demand.ndim != 2 or self.demand.shape[1] != self.n_regions:
+            raise DataError(f"demand has shape {self.demand.shape}, not (t_total, {self.n_regions})")
         if not np.all(np.isfinite(self.demand)):
             raise DataError("demand contains non-finite values")
-        if self.hour_of_interval.shape[0] != self.t_total:
-            raise DataError("hour_of_interval length does not match demand")
-        diffs = np.diff(self.hour_of_interval) % 24
-        if self.t_total > 1 and not np.all(diffs == 1):
-            raise DataError("hour_of_interval must increment by 1 mod 24")
+        if not 0 <= self.hour0 < 24:
+            raise DataError(f"hour0 must lie in [0, 24), got {self.hour0}")
 
 
 @dataclass
@@ -158,21 +163,13 @@ def generate_synthetic_city(spec: SyntheticSpec, name: str = "synthetic") -> Cit
     contexts[:, -2:] = locations
     contexts += rng.normal(0.0, CONTEXT_JITTER, size=(n, d_c))
 
-    hour_of_interval = np.arange(spec.t_total) % 24
     profiles = np.stack([archetype_profile(a, n_arch) for a in range(n_arch)])
     wf = np.array([weekday_factor(t) for t in range(spec.t_total)])
-    base = profiles[archetypes][:, hour_of_interval].T * wf[:, None] * scales[None, :]
+    base = profiles[archetypes][:, np.arange(spec.t_total) % 24].T * wf[:, None] * scales[None, :]
     noise = spec.noise_scale * scales[None, :] * rng.normal(size=(spec.t_total, n))
     demand = np.maximum(base + noise, 0.0)
 
-    regions = [Region(id=i, context=contexts[i].copy()) for i in range(n)]
-    city = CityDataset(
-        name=name,
-        regions=regions,
-        demand=demand,
-        hour_of_interval=hour_of_interval,
-        archetypes=archetypes,
-    )
+    city = CityDataset(name=name, region_contexts=contexts, demand=demand, hour0=0, archetypes=archetypes)
     city.validate()
     return city
 
@@ -205,7 +202,7 @@ def make_windows(
             history=demand[t - window + 1 : t + 1],
             future=demand[t + 1 : t + horizon + 1],
             mask=mask,
-            hour=int(city.hour_of_interval[t]),
+            hour=(city.hour0 + t) % 24,
         )
         for t in range(window - 1, city.t_total - horizon)
     ]
@@ -268,13 +265,13 @@ def save_city(city: CityDataset, path: str | Path, config_hash: str | None = Non
     doc = {
         "name": city.name,
         "d_c": city.d_c,
-        "regions": [{"id": r.id, "context": r.context.tolist()} for r in city.regions],
+        "regions": [{"id": i, "context": c} for i, c in enumerate(city.region_contexts.tolist())],
         "demand": {
             "rows": city.demand.shape[0],
             "cols": city.demand.shape[1],
             "values": city.demand.reshape(-1).tolist(),
         },
-        "hour0": int(city.hour_of_interval[0]),
+        "hour0": city.hour0,
     }
     if city.archetypes is not None:
         doc["archetypes"] = city.archetypes.tolist()
@@ -295,30 +292,29 @@ def load_city(path: str | Path) -> CityDataset:
     try:
         rows, cols = doc["demand"]["rows"], doc["demand"]["cols"]
         demand = np.array(doc["demand"]["values"], dtype=np.float64).reshape(rows, cols)
-        # one array for all contexts: a scalar or a nested context fails here
+        # one float64 array for all contexts: a ragged set fails here, and
+        # `validate` rejects any other shape than (n_regions, d_c)
         contexts = np.array([r["context"] for r in doc["regions"]], dtype=np.float64)
-        if contexts.ndim != 2:
-            raise ValueError(f"region contexts form a {contexts.shape} array, not (n_regions, d_c)")
-        regions = [Region(id=r["id"], context=c) for r, c in zip(doc["regions"], contexts)]
-        hour_of_interval = (int(doc["hour0"]) + np.arange(rows)) % 24
+        if [r["id"] for r in doc["regions"]] != list(range(len(contexts))):
+            raise DataError("region ids must be 0..N-1 in order")
         archetypes = np.array(doc["archetypes"]) if "archetypes" in doc else None
         city = CityDataset(
             name=doc["name"],
-            regions=regions,
+            region_contexts=contexts,
             demand=demand,
-            hour_of_interval=hour_of_interval,
+            hour0=int(doc["hour0"]) % 24,
             archetypes=archetypes,
         )
+        city.validate()
+    except DataError as e:
+        raise DataError(f"dataset file {path} is malformed: {e}")
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"dataset file {path} is malformed: {type(e).__name__}: {e}")
-    city.validate()
     return city
 
 
-def make_transfer_pair(
-    spec: SyntheticSpec, target_seed: int, names: tuple[str, str] = ("source", "target")
-) -> tuple[CityDataset, CityDataset]:
+def make_transfer_pair(spec: SyntheticSpec, target_seed: int) -> tuple[CityDataset, CityDataset]:
     """Two cities sharing archetype dynamics but with resampled regions/scales."""
-    source = generate_synthetic_city(spec, name=names[0])
-    target = generate_synthetic_city(replace(spec, seed=target_seed), name=names[1])
+    source = generate_synthetic_city(spec, name="source")
+    target = generate_synthetic_city(replace(spec, seed=target_seed), name="target")
     return source, target

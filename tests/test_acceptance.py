@@ -7,7 +7,6 @@ on a fixed build.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from bankcast.data import (
     make_windows,
     split_windows,
 )
-from bankcast.evaluation import predict_city, run_coldstart, run_transfer
+from bankcast.evaluation import predict_city, run_ablation_lret, run_coldstart, run_transfer
 from bankcast.autodiff import backward
 from bankcast.gradcheck import grad_check, toy_objective
 from bankcast.model import Model, ModelConfig
@@ -230,47 +229,31 @@ def test_criterion_5_coldstart_benefit(coldstart_runs):
 
 @pytest.fixture(scope="session")
 def transfer_city_pair():
-    return make_transfer_pair(BENCH_SPEC, target_seed=1000, names=("bench-src", "bench-tgt"))
+    return make_transfer_pair(BENCH_SPEC, target_seed=1000)
 
 
 @pytest.fixture(scope="session")
 def transfer_runs(transfer_city_pair):
-    """Transfer arms per seed: retrieval (lambda=0.2), no-ret-loss (lambda=0), graph-only.
-
-    The lambda arms double as the retrieval-loss ablation; validation-split
-    prior quality is collected for criterion 7.
+    """Transfer arms per seed: the retrieval-loss ablation that `eval` runs
+    (lambda=0.2 and lambda=0, each with its validation-split prior L2 for
+    criterion 7), and a graph-only transfer run.
     """
     source, target = transfer_city_pair
-    _, target_val, _ = split_windows(make_windows(target))
     out = {}
     t0 = time.perf_counter()
-
-    def val_prior_l2(rep, run, tc):
-        _, _, extras = predict_city(
-            run.model, target, target_val, rep.holdout, run.bank, tc, collect_priors=True
-        )
-        return extras["prior_future_l2"]
-
     for seed in SEEDS:
         tc = bench_train_config(seed)
-        arms = {}
-        rep, run, _, _ = run_transfer(source, target, tc)
-        arms["ret"] = {"test": rep, "val_prior_l2": val_prior_l2(rep, run, tc)}
-        tc0 = replace(tc, lambda_ret=0.0)
-        rep0, run0, _, _ = run_transfer(source, target, tc0)
-        arms["no_ret_loss"] = {"test": rep0, "val_prior_l2": val_prior_l2(rep0, run0, tc0)}
-        rep_g, _, _, _ = run_transfer(
+        graph_only, _, _, _ = run_transfer(
             source, target, tc, model_config=ModelConfig(d_c=source.d_c, retrieval_enabled=False)
         )
-        arms["graph_only"] = {"test": rep_g}
-        out[seed] = arms
+        out[seed] = {"ablation": run_ablation_lret(source, target, tc)["arms"], "graph_only": graph_only}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
 def test_criterion_6_transfer_benefit(transfer_runs):
-    full = np.mean([transfer_runs[s]["ret"]["test"].overall.rmse for s in SEEDS])
-    graph = np.mean([transfer_runs[s]["graph_only"]["test"].overall.rmse for s in SEEDS])
+    full = np.mean([transfer_runs[s]["ablation"]["with_ret_loss"]["test"]["overall"]["rmse"] for s in SEEDS])
+    graph = np.mean([transfer_runs[s]["graph_only"].overall.rmse for s in SEEDS])
     elapsed = transfer_runs["elapsed"]
     ok = full < graph and elapsed < 900.0
     report_line(
@@ -281,8 +264,10 @@ def test_criterion_6_transfer_benefit(transfer_runs):
 
 
 def test_criterion_7_retrieval_loss_ablation(transfer_runs):
-    with_l = np.mean([transfer_runs[s]["ret"]["val_prior_l2"] for s in SEEDS])
-    without = np.mean([transfer_runs[s]["no_ret_loss"]["val_prior_l2"] for s in SEEDS])
+    with_l, without = (
+        np.mean([transfer_runs[s]["ablation"][arm]["val_prior_future_l2"] for s in SEEDS])
+        for arm in ("with_ret_loss", "no_ret_loss")
+    )
     ok = with_l < without
     report_line(
         "7 (retrieval-loss ablation)", ok,

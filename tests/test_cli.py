@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.lib.recfunctions import repack_fields
 
-from bankcast import cli
+from bankcast import cli, errors
 from bankcast.cli import main, resolve_config
 from bankcast.data import SyntheticSpec, generate_synthetic_city, save_city
 from bankcast.errors import ConfigError
@@ -270,6 +271,26 @@ def test_report_dir_that_is_a_file_exits_3(command, tmp_path, capsys):
     assert report_dir.read_text() == ""
 
 
+ERROR_EXITS = [
+    (errors.BankcastError, 1, "error"),
+    (errors.ConfigError, 2, "config error"),
+    (errors.DataError, 3, "data error"),
+    (errors.DivergenceError, 4, "numeric divergence"),
+    (errors.VersionMismatchError, 5, "artifact version mismatch"),
+    (errors.DegenerateEmbedding, 1, "error"),  # a subclass without its own code
+]
+
+
+@pytest.mark.parametrize("error,code,prefix", ERROR_EXITS, ids=[e.__name__ for e, _, _ in ERROR_EXITS])
+def test_error_class_sets_exit_code_and_prefix(error, code, prefix, monkeypatch, capsys):
+    def fail(config):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert run_cli("generate") == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
+
+
 class TestTrain:
     def test_dry_run(self, tmp_path, capsys):
         p = fast_config(tmp_path)
@@ -291,20 +312,32 @@ class TestTrain:
         assert "data error" in err and str(tmp_path / "unreadable.json") in err
 
     # a scalar context raised IndexError in `CityDataset.validate`; a nested
-    # one loaded as an (N, d_c, 1) array and failed in `build_bank`
-    @pytest.mark.parametrize(
-        "rewrite", [lambda c: c[0], lambda c: [[v] for v in c]], ids=["scalar", "nested"]
-    )
-    def test_malformed_region_context_exits_3(self, rewrite, tmp_path, capsys):
+    # one loaded as an (N, d_c, 1) array and failed in `build_bank`; a
+    # non-finite one loaded, and training then failed on unit-norm bank keys
+    # (exit 3, no dataset path) or a non-finite loss (graph-only, exit 4);
+    # ids out of order were reported without the dataset path
+    @pytest.mark.parametrize("rewrite,retrieval", [
+        pytest.param(lambda r: r.update(context=r["context"][0]), True, id="scalar"),
+        pytest.param(lambda r: r.update(context=[[v] for v in r["context"]]), True, id="nested"),
+        pytest.param(lambda r: r.update(context=[None] + r["context"][1:]), True, id="null"),
+        pytest.param(lambda r: r.update(context=[None] + r["context"][1:]), False, id="null-graph-only"),
+        pytest.param(lambda r: r.update(context=[math.inf] + r["context"][1:]), True, id="infinity"),
+        pytest.param(
+            lambda r: r.update(context=[math.inf] + r["context"][1:]), False, id="infinity-graph-only"
+        ),
+        pytest.param(lambda r: r.update(id=r["id"] + 1), True, id="region-ids"),
+    ])
+    def test_malformed_region_context_exits_3(self, rewrite, retrieval, tmp_path, capsys):
         p = fast_config(tmp_path)
         run_cli("--config", str(p), "generate")
         dataset = tmp_path / "source.json"
         doc = json.loads(dataset.read_text())
         for region in doc["regions"]:
-            region["context"] = rewrite(region["context"])
+            rewrite(region)
         dataset.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run_cli("--config", str(p), "train") == 3
+        switch = f"model.retrieval_enabled={json.dumps(retrieval)}"
+        assert run_cli("--config", str(p), "--set", switch, "train") == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(dataset) in err
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestGenerator:
         assert city.hour_of_interval[0] == 0
         assert np.all(np.diff(city.hour_of_interval) % 24 == 1)
 
+    def test_contexts_read_only(self):
+        # `contexts()` hands out the city's own matrix, not a copy
+        city = generate_synthetic_city(small_spec())
+        with pytest.raises(ValueError, match="read-only"):
+            city.contexts()[0, 0] = 1.0
+        assert city.contexts() is city.contexts()
+
     def test_rejects_short_series(self):
         with pytest.raises(DataError):
             generate_synthetic_city(small_spec(t_total=48))
@@ -93,6 +101,19 @@ class TestGenerator:
         assert n_windows == 4234
 
 
+@pytest.mark.parametrize("field,value", [
+    ("region_contexts", lambda c: np.where(np.arange(c.d_c) == 0, np.nan, c.region_contexts)),
+    ("region_contexts", lambda c: c.region_contexts[:, 0]),
+    ("demand", lambda c: c.demand[:, 1:]),
+    ("demand", lambda c: np.where(np.arange(c.t_total)[:, None] == 3, np.inf, c.demand)),
+    ("hour0", lambda c: 24),
+], ids=["nan-context", "flat-contexts", "missing-column", "inf-demand", "hour0-24"])
+def test_validate_rejects(field, value):
+    city = generate_synthetic_city(small_spec())
+    with pytest.raises(DataError):
+        replace(city, **{field: value(city)}).validate()
+
+
 class TestWindows:
     def test_boundary_single_instance(self):
         city = generate_synthetic_city(small_spec(t_total=49))
@@ -100,10 +121,7 @@ class TestWindows:
         # t_total = W + H + 1 -> 2 anchors
         assert len(inst) == 2
         city2 = CityDataset(
-            name=city.name,
-            regions=city.regions,
-            demand=city.demand[:48],
-            hour_of_interval=city.hour_of_interval[:48],
+            name=city.name, region_contexts=city.contexts(), demand=city.demand[:48], hour0=city.hour0
         )
         assert len(make_windows(city2)) == 1
 
