@@ -284,11 +284,12 @@ class Model:
         `region_graph(contexts)` built by the caller, stands in for
         building it here.
 
-        Rows that share a query and a selection are encoded and selected
-        once (see `distinct_query_rows`), then gathered back to every row;
-        the prior, the fusion and the alignment loss stay per row. In
-        training every row's exclusion pair differs, so every row is
-        encoded, in row order, and the tape holds no gather.
+        Rows that share a query and a selection are encoded, selected and
+        given their prior once (see `distinct_query_rows`); the queries,
+        picks, weights and priors are then gathered back to every row, and
+        the fusion and the alignment loss stay per row. In training every
+        row's exclusion pair differs, so every row is its own distinct row,
+        in row order, and the tape holds no gather.
         """
         hours = np.asarray(hours)
         n_inst, n = len(hours), contexts.shape[0]
@@ -312,7 +313,8 @@ class Model:
                 y_hat=y_tilde, y_tilde=y_tilde, queries=None, l_ret=None, valid=np.zeros((n_rows, 1))
             )
 
-        # encode and select each distinct query once, then hand every row its own
+        # encode, select and build the prior of each distinct query once,
+        # then hand every row its own
         distinct, inverse = distinct_query_rows(masks, hours, exclude_anchors)
         row_hours = np.tile(hours, n)[distinct]
         queries = encode_retrieval(
@@ -336,10 +338,10 @@ class Model:
             filled[rows] = np.arange(k) < np.array([idx.size for idx, _ in picks])[:, None]
             selected[filled] = np.concatenate([idx for idx, _ in picks])
             scores[filled] = np.concatenate([top for _, top in picks])
-        if distinct.size < n_rows:
-            queries = ad.take_rows(queries, inverse)
-            selected, scores = selected[inverse], scores[inverse]
         prior, valid, weights = self._dense_priors(queries, bank, selected, temperature, scores)
+        if distinct.size < n_rows:
+            queries, prior = ad.take_rows(queries, inverse), ad.take_rows(prior, inverse)
+            selected, valid, weights = selected[inverse], valid[inverse], weights[inverse]
         y_hat = fuse(y_tilde, prior, self.fusion, valid)
 
         l_ret = None

@@ -161,14 +161,17 @@ def gelu_grad(x, cdf):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, output in (0, 1)."""
+    """Numerically stable logistic function, elementwise, output in [0, 1].
+
+    With e = exp(-|x|), it is 1/(1+e) for x >= 0 and e/(1+e) below, so exp
+    never overflows. In float64 it saturates: it is exactly 1.0 from about
+    x = 36.737 up (1 + e rounds to 1; sigmoid(36.0) is 1 - 2**-52), and
+    exactly 0.0 from about x = -745.133 down, where e underflows to 0. NaN
+    stays NaN.
+    """
     x = _as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def row_softmax(m, temperature: float = 1.0):

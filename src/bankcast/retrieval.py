@@ -11,8 +11,9 @@ embedding) and normalizes the output to the unit sphere.
 One routine, `select_top_batch`, does all top-K selection: it takes the
 query hour's slice of the keys, scores every query row against it with one
 GEMM, masks out the entries holding each row's excluded (anchor, region id)
-pair, and keeps the top K per row (ties to the smaller entry index). The
-model turns its picks into softmax weights and a future prior. Only the
+pair, and ranks the top K per row with K first-max passes over the score
+buffer (ties to the smaller entry index). The model turns its picks into
+softmax weights and a future prior, once per distinct query row. Only the
 alignment loss re-encodes its selected entries so gradients can reach the
 key-side encoder.
 """
@@ -207,9 +208,11 @@ def select_top_batch(
     `excludes`, an (n, 2) int array with one (anchor, region id) pair per
     query row, drops every entry of the bucket holding row i's pair from row
     i's candidates: one mask compares the pairs with the bucket's anchor and
-    region-id columns, so a pair that no entry holds drops nothing. Ties go
-    to the smaller entry index; a row is shorter than k when its hour
-    bucket, after exclusion, holds fewer entries.
+    region-id columns, so a pair that no entry holds drops nothing. Each
+    row is ranked by min(k, bucket) first-max passes over the scores, so
+    ties go to the smaller entry index; a row is shorter than k when its
+    hour bucket, after exclusion, holds fewer entries. Each returned score
+    is the GEMM's value, bit for bit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -228,22 +231,24 @@ def select_top_batch(
     if excludes is not None:
         held = (bank.anchors[bucket] == excludes[:, :1]) & (bank.region_ids[bucket] == excludes[:, 1:])
         scores[held] = -np.inf
-    # every candidate scoring at least its row's k-th largest score survives;
-    # sorting the survivors by (row, -score, entry index) ranks each row with
-    # the smaller-index tie rule, then each row keeps its first k finite ones
-    pivot = cand.size - min(k, cand.size)
-    kth = np.partition(scores, pivot, axis=1)[:, pivot]
-    flat = np.flatnonzero(scores >= kth[:, None])
-    row, col = np.divmod(flat, scores.shape[1])
-    top = scores.ravel()[flat]
-    order = np.lexsort((col, -top, row))
-    row, col, top = row[order], col[order], top[order]
-    counts = np.bincount(row, minlength=n)
-    rank = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    keep = (rank < k) & (top > -np.inf)
-    ends = np.cumsum(np.bincount(row[keep], minlength=n)).tolist()
-    idx, top = cand[col[keep]], top[keep]
-    return [(idx[lo:hi], top[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+    # rank by first-max passes over the GEMM's own buffer: each pass takes
+    # every row's largest remaining score (argmax returns the first of equal
+    # maxima, so ties go to the smaller entry index), reads it and sets its
+    # cell to -inf; a row's finite picks come first, and its -inf picks,
+    # once exclusion has emptied it, are dropped. `scores` is a fresh
+    # C-contiguous array, so `flat` is a view of it.
+    flat = scores.ravel()
+    row_start = np.arange(n) * cand.size
+    cols = np.empty((n, min(k, cand.size)), dtype=np.intp)
+    top = np.empty(cols.shape)
+    for j in range(cols.shape[1]):
+        cols[:, j] = scores.argmax(axis=1)
+        at = row_start + cols[:, j]
+        top[:, j] = flat[at]
+        flat[at] = -np.inf
+    idx = bucket.start + cols
+    counts = (top > -np.inf).sum(axis=1).tolist()
+    return [(idx[i, :c], top[i, :c]) for i, c in enumerate(counts)]
 
 
 def future_nearest_batch(bank: MemoryBank, selected: np.ndarray, true_futures: np.ndarray) -> np.ndarray:

@@ -152,8 +152,24 @@ class TestSigmoid:
         assert abs(numerics.sigmoid(math.log(3.0)) - 0.75) < 1e-12
 
     def test_range(self):
-        # beyond |x| ~ 36 float64 rounds the output to exactly 0 or 1
+        # float64 rounds the output to exactly 1 from x ~ 36.74 (and to 0 only below x ~ -745.13)
         xs = np.linspace(-35, 35, 101)
         s = numerics.sigmoid(xs)
         assert np.all(s > 0.0) and np.all(s < 1.0)
 
+    def test_equals_the_two_branch_formula_bit_for_bit(self):
+        def two_branch(x):
+            # the reference: exp(-x) on x >= 0, exp(x) below, each on its own gathered half
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edges = np.array([0.0, 1e-300, 36.0, 37.0, 745.0, 746.0, np.inf])
+        rng = np.random.default_rng(23)
+        xs = np.concatenate([edges, -edges, rng.normal(0.0, 20.0, 50_000), rng.uniform(-800.0, 800.0, 50_000)])
+        assert numerics.sigmoid(xs).tobytes() == two_branch(xs).tobytes()
+        assert numerics.sigmoid(37.0) == 1.0 and numerics.sigmoid(-746.0) == 0.0
+        assert np.isnan(numerics.sigmoid(np.array([np.nan, -np.nan]))).all()

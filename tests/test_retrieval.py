@@ -410,6 +410,32 @@ class TestSelectTopBatch:
             [3, 0, 2, 4, 6, 8, 1, 5, 7], [0, 2, 4, 6, 8, 1, 5, 7], [1, 7, 0, 2, 4, 6, 8, 3],
         ]
 
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_scores_are_the_gemm_bits_and_inputs_stay_unwritten(self, k):
+        # hour 0 holds entries 0-3, so hour 2's bucket starts at entry 4:
+        # key A twice (4, 9), key B four times (5, 7, 10, 12) and key C four
+        # times (6, 8, 11, 13). With k = 4, row 0's four tied B entries
+        # straddle the 4th slot. Entries 4-11 all hold the pair (20, 0), so
+        # row 1, which excludes it, keeps 2 entries, fewer than k.
+        layout = [None] * 4 + [KEY_A, KEY_B, KEY_C, KEY_B, KEY_C, KEY_A, KEY_B, KEY_C, KEY_B, KEY_C]
+        rand = unit_keys(len(layout), 8, seed=21)
+        keys = np.array([rand[i] if key is None else key for i, key in enumerate(layout)])
+        entries = make_entries(len(layout), hours=[0] * 4 + [2] * 10, seed=21)
+        entries["anchor"][4:12], entries["region_id"][4:12] = 20, 0
+        bank = bank_with_keys(entries, keys)
+        bucket = slice(4, 14)
+        queries = np.vstack([KEY_A, KEY_B, unit_keys(1, 8, seed=22), KEY_C])
+        excludes = [NO_PAIR, (20, 0), excl(bank, 12), NO_PAIR]
+        keys_before, queries_before = bank.keys.tobytes(), queries.tobytes()
+        out = select_top_batch(bank, queries, 2, k, excludes)
+        assert bank.keys.tobytes() == keys_before and queries.tobytes() == queries_before
+        gemm = queries @ bank.keys[bucket].T
+        for i, (q, ex, (idx, scores)) in enumerate(zip(queries, excludes, out)):
+            assert idx.tolist() == brute_force(bank, q, 2, k, 0.3, exclude=ex)[0]
+            assert scores.tobytes() == gemm[i, idx - bucket.start].tobytes()
+        assert out[0][0].tolist()[:4] == [4, 9, 5, 7]
+        assert out[1][0].tolist() == [12, 13]
+
     def test_every_copy_of_an_excluded_pair_is_dropped(self):
         # region id = hour, so each (anchor, region) pair of hour 0 is stored
         # four times; the later rows exclude pairs hour 0 does not hold

@@ -574,9 +574,11 @@ class TestForwardBatch:
             assert np.allclose(res.weights[rows], single.weights, rtol=0.0, atol=1e-12)
             assert np.allclose(res.prior.value[rows], single.prior.value, rtol=1e-12, atol=1e-12)
             assert np.allclose(res.y_hat.value[rows], single.y_hat.value, rtol=1e-12, atol=1e-12)
-        for i in masked:  # one query per masked region, gathered to each of its rows
-            q = res.queries.value[i * n_inst : (i + 1) * n_inst]
-            assert np.array_equal(q, np.broadcast_to(q[0], q.shape))
+        for i in masked:  # one query, selection and prior per masked region, gathered to each of its rows
+            rows = slice(i * n_inst, (i + 1) * n_inst)
+            for shared in (res.queries.value, res.selected, res.weights, res.prior.value):
+                block = shared[rows]
+                assert block.tobytes() == np.broadcast_to(block[0], block.shape).tobytes()
 
     def test_training_selects_every_row_once(self, monkeypatch):
         """With exclusion anchors every row is its own key, masked or not:
