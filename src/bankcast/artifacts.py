@@ -19,12 +19,16 @@ import numpy as np
 from .errors import DataError
 
 
-def sha256_hex(array: np.ndarray) -> str:
-    """SHA-256 of a C-contiguous array's bytes, read in place through the
-    buffer protocol: the same digest as of `array.tobytes()`, with no copy."""
-    if not array.flags.c_contiguous:
-        raise ValueError("sha256_hex needs a C-contiguous array")
-    return hashlib.sha256(array).hexdigest()
+def sha256_hex(*arrays: np.ndarray) -> str:
+    """SHA-256 of C-contiguous arrays' bytes, one array after another, read
+    in place through the buffer protocol: the same digest as of their
+    concatenated `tobytes()`, with no copy."""
+    h = hashlib.sha256()
+    for array in arrays:
+        if not array.flags.c_contiguous:
+            raise ValueError("sha256_hex needs C-contiguous arrays")
+        h.update(array)
+    return h.hexdigest()
 
 
 @contextmanager

@@ -1,7 +1,9 @@
 """Command-line entry point for reproducible experiments.
 
-One JSON config document drives everything; `--set key=value` overrides
-scalar fields with dotted paths. Every run directory receives a frozen copy of
+One JSON config document drives everything; each `--set a.b=value` is the
+one-key document {"a": {"b": value}}, merged over the file as the file is
+merged over the defaults. The train/val/test split is the paper's, fixed as
+`data.SPLIT_RATIOS`. Every run directory receives a frozen copy of
 the resolved config, and every artifact embeds the config hash it was produced
 from. Exit codes: 0 success, 1 other error, 2 config error, 3 data error,
 4 numeric divergence, 5 artifact-version mismatch; each error class in
@@ -21,10 +23,8 @@ from pathlib import Path
 from .artifacts import check_writable, write_text
 from .data import (
     DEFAULT_HORIZON,
-    DEFAULT_SPLIT_RATIOS,
     DEFAULT_WINDOW,
     SyntheticSpec,
-    check_split_ratios,
     generate_synthetic_city,
     load_city,
     make_transfer_pair,
@@ -32,13 +32,7 @@ from .data import (
     save_city,
     split_windows,
 )
-from .errors import (
-    BankcastError,
-    ConfigError,
-    DataError,
-    DivergenceError,
-    VersionMismatchError,
-)
+from .errors import BankcastError, ConfigError, DivergenceError, VersionMismatchError
 from .evaluation import (
     DEFAULT_N_HOLDOUT,
     EvalReport,
@@ -67,7 +61,6 @@ DEFAULT_CONFIG: dict = {
     "n_holdout": DEFAULT_N_HOLDOUT,
     "window": DEFAULT_WINDOW,
     "horizon": DEFAULT_HORIZON,
-    "split_ratios": list(DEFAULT_SPLIT_RATIOS),
     "paths": {
         "dataset": "runs/source.json",
         "dataset_target": "runs/target.json",
@@ -118,7 +111,24 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _override_doc(item: str) -> dict:
+    """`--set a.b=v` as the one-key document {"a": {"b": v}}; a value that
+    is not JSON is taken as a bare string."""
+    if "=" not in item:
+        raise ConfigError(f"--set expects key=value, got {item!r}")
+    dotted, raw = item.split("=", 1)
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError:
+        doc = raw
+    for key in reversed(dotted.split(".")):
+        doc = {key: doc}
+    return doc
+
+
 def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
+    """The defaults, merged with the config file and then with each `--set`
+    in order; the result is checked after every merge."""
     doc = {}
     if config_path is not None:
         try:
@@ -131,28 +141,10 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file {config_path} is not valid JSON: {e}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {config_path}: the top level must be of type dict, got {doc!r}")
-    config = _merge(DEFAULT_CONFIG, doc)
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        dotted, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw  # bare strings allowed
-        node = config
-        parts = dotted.split(".")
-        probe = DEFAULT_CONFIG
-        for p in parts[:-1]:
-            if not isinstance(probe, dict) or p not in probe:
-                raise ConfigError(f"unknown config key: {dotted}")
-            probe, node = probe[p], node[p]
-            if not isinstance(node, dict):  # the file or an earlier --set put a non-object here
-                raise ConfigError(f"config value {p} must be of type dict to take {dotted}, got {node!r}")
-        if not isinstance(probe, dict) or parts[-1] not in probe:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node[parts[-1]] = value
-    _check(config, DEFAULT_CONFIG)
+    config = DEFAULT_CONFIG
+    for layer in [doc, *map(_override_doc, overrides)]:
+        config = _merge(config, layer)
+        _check(config, DEFAULT_CONFIG)
     if config["protocol"] not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {config['protocol']!r}")
     if not config["seeds"]:
@@ -162,12 +154,9 @@ def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
     for name, seed in named_seeds:
         if seed < 0:
             raise ConfigError(f"{name} must be nonnegative, got {seed}")
-    if config["n_holdout"] < 1:
-        raise ConfigError(f"n_holdout must be at least 1, got {config['n_holdout']}")
-    try:
-        check_split_ratios(tuple(config["split_ratios"]))
-    except DataError as e:
-        raise ConfigError(str(e))
+    for key in ("n_holdout", "window", "horizon"):
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {config[key]}")
     return config
 
 
@@ -210,9 +199,10 @@ def cmd_generate(config: dict) -> int:
         city, target = make_transfer_pair(spec, config["synthetic"]["target_seed"])
     else:
         city, target = generate_synthetic_city(spec, name="source"), None
-    save_city(city, paths["dataset"], config_hash=h)
+    # a window or split that does not fit the city fails before a dataset is written
     windows = make_windows(city, config["window"], config["horizon"])
-    tr, va, te = split_windows(windows, tuple(config["split_ratios"]))
+    tr, va, te = split_windows(windows)
+    save_city(city, paths["dataset"], config_hash=h)
     print(f"wrote {paths['dataset']}: {city.n_regions} regions, {city.t_total} intervals")
     print(f"windows {len(windows)} -> train/val/test {len(tr)}/{len(va)}/{len(te)}")
     if target is not None:
@@ -237,7 +227,7 @@ def cmd_train(config: dict, dry_run: bool = False) -> int:
     check_writable(paths["checkpoint"])
     if mc.retrieval_enabled:
         check_writable(paths["bank"])
-    run = train_for_protocol(city, tc, mc, config["n_holdout"], tuple(config["split_ratios"]))
+    run = train_for_protocol(city, tc, mc, config["n_holdout"])
     save_checkpoint(run.model, paths["checkpoint"], config_hash=h)
     written = [paths["checkpoint"]]
     if run.bank is not None:
@@ -285,7 +275,6 @@ def cmd_eval(config: dict) -> int:
     h = freeze_config(config, report_dir)
     city = load_city(paths["dataset"])
     mc = model_config(config, city.d_c)
-    ratios = tuple(config["split_ratios"])
     target = load_city(paths["dataset_target"]) if protocol == "transfer" else None
     pretrained = _load_pretrained(config)
     if pretrained is not None:
@@ -306,12 +295,10 @@ def cmd_eval(config: dict) -> int:
         tc = train_config(config, seed=seed)
         seed_dir = report_dir / f"seed_{seed}"
         if protocol == "coldstart":
-            report, _, preds, targets = run_coldstart(
-                city, tc, mc, config["n_holdout"], ratios, run=pretrained
-            )
+            report, _, preds, targets = run_coldstart(city, tc, mc, config["n_holdout"], run=pretrained)
         else:
             report, _, preds, targets = run_transfer(
-                city, target, tc, mc, config["n_holdout"], ratios, run=pretrained
+                city, target, tc, mc, config["n_holdout"], run=pretrained
             )
         write_text(seed_dir / "report.json", _report_to_json(report, h))
         write_curves_csv(seed_dir / "curves.csv", preds, targets, config_hash=h)
@@ -338,10 +325,9 @@ def cmd_ablate(config: dict) -> int:
     source = load_city(paths["dataset"])
     target = load_city(paths["dataset_target"])
     mc = model_config(config, source.d_c)
-    ratios = tuple(config["split_ratios"])
     for seed in config["seeds"]:
         tc = train_config(config, seed=seed)
-        doc = run_ablation_lret(source, target, tc, mc, config["n_holdout"], ratios)
+        doc = run_ablation_lret(source, target, tc, mc, config["n_holdout"])
         write_text(
             report_dir / f"seed_{seed}" / "ablation.json",
             json.dumps({"config_hash": h, "seed": seed, **doc}, sort_keys=True, indent=2),

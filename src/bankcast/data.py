@@ -24,7 +24,7 @@ from .errors import DataError
 
 DEFAULT_WINDOW = 24
 DEFAULT_HORIZON = 24
-DEFAULT_SPLIT_RATIOS = (0.6, 0.2, 0.2)
+SPLIT_RATIOS = (0.6, 0.2, 0.2)  # the paper's chronological train/val/test split
 
 CONTEXT_JITTER = 0.1
 LOCATION_SPREAD = 0.15
@@ -102,6 +102,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n_regions < 1:
+            raise DataError(f"n_regions must be at least 1, got {self.n_regions}")
         if self.n_archetypes < 2:
             raise DataError("need at least 2 archetypes")
         if self.d_c < self.n_archetypes + 2:
@@ -211,26 +213,16 @@ def make_windows(
     return instances
 
 
-def check_split_ratios(ratios: tuple[float, float, float]) -> None:
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must be three positive values summing to 1, got {ratios}")
-
-
-def split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
-    check_split_ratios(ratios)
-    n_train = round(n * ratios[0])
-    n_val = round(n * ratios[1])
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) <= 0:
-        raise DataError(f"split of {n} instances by {ratios} leaves an empty part")
-    return n_train, n_val, n_test
-
-
 def split_windows(
-    instances: list[ForecastInstance], ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS
+    instances: list[ForecastInstance],
 ) -> tuple[list[ForecastInstance], list[ForecastInstance], list[ForecastInstance]]:
-    """Chronological train/val/test split; sizes round(n*train), round(n*val), remainder."""
-    n_train, n_val, _ = split_counts(len(instances), ratios)
+    """Chronological train/val/test split by SPLIT_RATIOS; sizes
+    round(n*train), round(n*val), remainder."""
+    n = len(instances)
+    n_train = round(n * SPLIT_RATIOS[0])
+    n_val = round(n * SPLIT_RATIOS[1])
+    if min(n_train, n_val, n - n_train - n_val) <= 0:
+        raise DataError(f"split of {n} instances by {SPLIT_RATIOS} leaves an empty part")
     return (
         instances[:n_train],
         instances[n_train : n_train + n_val],

@@ -6,7 +6,8 @@ all regions with held-out histories zero-masked. Cross-city transfer: the same
 training recipe runs on a source city, then the model and its source-built
 bank are evaluated unchanged on a target city with 10 seeded target regions
 masked. Both build their report in one body, and both window the cities at
-the model config's window and horizon. Metrics are computed on raw
+the model config's window and horizon and split the windows by
+`data.SPLIT_RATIOS`. Metrics are computed on raw
 (de-normalized) demand, flattened over instances, regions, and horizon steps.
 """
 
@@ -18,14 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifacts import write_text
-from .data import (
-    DEFAULT_SPLIT_RATIOS,
-    CityDataset,
-    ForecastInstance,
-    make_windows,
-    masked_view,
-    split_windows,
-)
+from .data import CityDataset, ForecastInstance, make_windows, masked_view, split_windows
 from .errors import DataError
 from .model import ForwardResult, Model, ModelConfig, region_major
 from .retrieval import MemoryBank
@@ -104,12 +98,10 @@ class ProtocolRun:
     train_result: TrainResult | None  # None when the model was loaded from a checkpoint
 
 
-def _windows(
-    city: CityDataset, config: ModelConfig, ratios: tuple[float, float, float]
-) -> dict[str, list[ForecastInstance]]:
+def _windows(city: CityDataset, config: ModelConfig) -> dict[str, list[ForecastInstance]]:
     """The city's train/val/test windows at the model's window and horizon."""
     windows = make_windows(city, config.window, config.horizon)
-    return dict(zip(_SPLITS, split_windows(windows, ratios)))
+    return dict(zip(_SPLITS, split_windows(windows)))
 
 
 def train_for_protocol(
@@ -117,12 +109,11 @@ def train_for_protocol(
     train_config: TrainConfig,
     model_config: ModelConfig,
     n_holdout: int = DEFAULT_N_HOLDOUT,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
 ) -> ProtocolRun:
     """The shared single-city training phase: hold out cold-start regions, train the rest."""
     holdout = choose_holdout(city.n_regions, n_holdout, train_config.seed)
     observable = [i for i in range(city.n_regions) if i not in set(holdout)]
-    windows = _windows(city, model_config, ratios)
+    windows = _windows(city, model_config)
     model = Model(model_config, seed=train_config.seed)
     model.holdout = holdout
     result = train(model, city, observable, windows["train"], windows["val"], train_config)
@@ -218,7 +209,6 @@ def _source_run(
     train_config: TrainConfig,
     model_config: ModelConfig | None,
     n_holdout: int,
-    ratios: tuple[float, float, float],
     run: ProtocolRun | None,
 ) -> ProtocolRun:
     """`run`, or a new run trained on `source`; either way, its bank holds
@@ -227,9 +217,9 @@ def _source_run(
     if run is None:
         if model_config is None:
             model_config = ModelConfig(d_c=source.d_c)
-        run = train_for_protocol(source, train_config, model_config, n_holdout, ratios)
+        run = train_for_protocol(source, train_config, model_config, n_holdout)
     if run.bank is not None:
-        max_train_anchor = _windows(source, run.model.config, ratios)["train"][-1].t
+        max_train_anchor = _windows(source, run.model.config)["train"][-1].t
         bad = run.bank.anchors[run.bank.anchors > max_train_anchor]
         if bad.size:
             raise DataError(f"bank contains non-train anchors (first: {bad[0]})")
@@ -280,7 +270,6 @@ def run_coldstart(
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
     n_holdout: int = DEFAULT_N_HOLDOUT,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     run: ProtocolRun | None = None,
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
     """Train with held-out cold-start regions, evaluate on the full graph at test time.
@@ -289,8 +278,8 @@ def run_coldstart(
     city's context width; window and horizon always come from the model's
     config.
     """
-    run = _source_run(city, train_config, model_config, n_holdout, ratios, run)
-    test = _windows(city, run.model.config, ratios)["test"]
+    run = _source_run(city, train_config, model_config, n_holdout, run)
+    test = _windows(city, run.model.config)["test"]
     return _protocol_report("coldstart", run, city.name, city, run.model.holdout, test, train_config)
 
 
@@ -300,7 +289,6 @@ def run_transfer(
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
     n_holdout: int = DEFAULT_N_HOLDOUT,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
     run: ProtocolRun | None = None,
 ) -> tuple[EvalReport, ProtocolRun, np.ndarray, np.ndarray]:
     """Pretrain on the source city, evaluate unchanged on the target city's
@@ -313,9 +301,9 @@ def run_transfer(
         raise DataError(
             f"context dimensions differ: source {source_city.d_c}, target {target_city.d_c}"
         )
-    run = _source_run(source_city, train_config, model_config, n_holdout, ratios, run)
+    run = _source_run(source_city, train_config, model_config, n_holdout, run)
     masked = choose_holdout(target_city.n_regions, n_holdout, train_config.seed)
-    test = _windows(target_city, run.model.config, ratios)["test"]
+    test = _windows(target_city, run.model.config)["test"]
     return _protocol_report("transfer", run, source_city.name, target_city, masked, test, train_config)
 
 
@@ -325,7 +313,6 @@ def run_ablation_lret(
     train_config: TrainConfig,
     model_config: ModelConfig | None = None,
     n_holdout: int = DEFAULT_N_HOLDOUT,
-    ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS,
 ) -> dict:
     """Paired transfer runs differing only in the retrieval-loss weight (vs 0),
     as a JSON-ready document.
@@ -339,8 +326,8 @@ def run_ablation_lret(
     arms = {}
     for label, lam in (("with_ret_loss", train_config.lambda_ret), ("no_ret_loss", 0.0)):
         cfg = replace(train_config, lambda_ret=lam)
-        report, run, _, _ = run_transfer(source_city, target_city, cfg, model_config, n_holdout, ratios)
-        val = _windows(target_city, run.model.config, ratios)["val"]
+        report, run, _, _ = run_transfer(source_city, target_city, cfg, model_config, n_holdout)
+        val = _windows(target_city, run.model.config)["val"]
         _, _, extras = predict_city(
             run.model, target_city, val, report.holdout, run.bank, cfg, collect_priors=True
         )

@@ -393,10 +393,11 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # checkpoints: one JSON header line (config, norm, holdout, the (name, shape)
-# list of parameters and the SHA-256 of their values), then every parameter
-# concatenated into one 1-D float64 array as one .npy body.
+# list of parameters and the SHA-256 of their values followed by the norm's
+# mean and std as float64), then every parameter concatenated into one 1-D
+# float64 array as one .npy body.
 
-CHECKPOINT_FORMAT = "bankcast-checkpoint-v2"
+CHECKPOINT_FORMAT = "bankcast-checkpoint-v3"
 
 
 def save_checkpoint(model: Model, path: str | Path, config_hash: str | None = None) -> None:
@@ -406,10 +407,9 @@ def save_checkpoint(model: Model, path: str | Path, config_hash: str | None = No
         "format": CHECKPOINT_FORMAT,
         "model_config": asdict(model.config),
         "norm": {"mean": model.norm_mean, "std": model.norm_std},
-        "encoder_version": model.encoder_version(),
         "holdout": model.holdout,
         "params": [[name, list(model.store[name].value.shape)] for name in names],
-        "params_checksum": sha256_hex(body),
+        "params_checksum": sha256_hex(body, np.array([model.norm_mean, model.norm_std])),
     }
     if config_hash is not None:
         header["config_hash"] = config_hash
@@ -426,8 +426,11 @@ def load_checkpoint(path: str | Path) -> Model:
         offsets = np.cumsum([0] + [int(np.prod(shape)) for _, shape in params]).tolist()
         if len({name for name, _ in params}) != len(params) or offsets[-1] != body.size:
             raise ValueError(f"the body's {body.size} values do not fit the header's parameter list")
-        if sha256_hex(body) != header.get("params_checksum"):
-            raise VersionMismatchError(f"checkpoint file {path} parameters do not match their checksum")
+        norm = np.array([header["norm"]["mean"], header["norm"]["std"]], dtype=np.float64)
+        if sha256_hex(body, norm) != header.get("params_checksum"):
+            raise VersionMismatchError(
+                f"checkpoint file {path} parameters and normalization do not match their checksum"
+            )
         values = {
             name: body[lo:hi].reshape(shape)
             for (name, shape), lo, hi in zip(params, offsets[:-1], offsets[1:])
@@ -443,7 +446,7 @@ def load_checkpoint(path: str | Path) -> Model:
         for name in expected:
             store.register(name, values[name])
         model = Model(config, store=store)
-        model.set_norm(header["norm"]["mean"], header["norm"]["std"])
+        model.set_norm(*norm)
         model.holdout = header.get("holdout")
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise DataError(f"checkpoint file {path} is malformed: {type(e).__name__}: {e}")

@@ -180,7 +180,7 @@ def test_criterion_4_split_fidelity():
     def counts(n):
         z = np.zeros((1, 1))
         inst = [ForecastInstance(t=i, history=z, future=z, mask=np.ones(1), hour=0) for i in range(n)]
-        tr, va, te = split_windows(inst, (0.6, 0.2, 0.2))
+        tr, va, te = split_windows(inst)
         return len(tr), len(va), len(te)
 
     ok = counts(4234) == (2540, 847, 847) and counts(4361) == (2617, 872, 872)

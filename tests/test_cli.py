@@ -128,21 +128,22 @@ class TestConfigResolution:
     # a value of the wrong JSON type, or a model width below 1, used to reach
     # the model or the selection and fail there with a traceback (exit 1);
     # a train value out of range was reported as a data error (exit 3); a
-    # negative n_holdout or bad split_ratios passed the dry run, then failed
-    # with a traceback or exit 3; stop_key_grad is no longer a model key, nor
-    # are the optimizer constants of `training` train keys
+    # negative n_holdout passed the dry run, then failed with a traceback;
+    # stop_key_grad is no longer a model key, nor are the optimizer
+    # constants of `training` train keys
     @pytest.mark.parametrize("override", [
         "train.k=abc", "train.k=2.5", "model.d_r=abc", "model.retrieval_enabled=1",
         "train.learning_rate=true", "seeds=[1.5]", "synthetic=3",
         "model.d_r=-1", "model.d_g=0", "model.gcn_layers=-1",
         "train.k=0", "train.temperature=0",
-        "n_holdout=-1", "n_holdout=0", "split_ratios=[0.5,0.6,0.2]", "split_ratios=[0.5,0.5]",
+        "n_holdout=-1", "n_holdout=0",
         "model.stop_key_grad=false", "train.clip_norm=1", "train.beta1=1", "train.beta2=1", "train.eps=1",
         # negative seeds and inactive counts used to reach numpy and fail
         # there with a traceback (exit 1)
         "seeds=[-1]", "synthetic.seed=-1", "synthetic.target_seed=-5", "train.n_inactive_per_batch=-1",
-        # the archetype volume range is the constant data.SCALE_RANGE
-        "synthetic.scale_range=[8,20]",
+        # the archetype volume range is the constant data.SCALE_RANGE, and
+        # the train/val/test split the constant data.SPLIT_RATIOS
+        "synthetic.scale_range=[8,20]", "split_ratios=[0.5,0.6,0.2]", "split_ratios=[0.5,0.5]",
     ])
     def test_bad_value_exits_2(self, override, tmp_path, capsys):
         p = fast_config(tmp_path)
@@ -197,6 +198,42 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="train must be of type dict"):
             resolve_config(str(p), ["train.k=1"])
 
+    def test_later_set_wins_and_file_values_survive(self, tmp_path):
+        p = fast_config(tmp_path)
+        cfg = resolve_config(str(p), ["train.epochs=5", "train.k=4", "train.epochs=7"])
+        assert (cfg["train"]["epochs"], cfg["train"]["k"]) == (7, 4)
+        assert (cfg["train"]["batch_size"], cfg["train"]["patience"]) == (16, 0)  # from the file
+        assert cfg["model"]["hidden"] == 12
+
+    def test_later_set_cannot_hide_an_earlier_bad_value(self, tmp_path):
+        with pytest.raises(ConfigError, match="model"):
+            resolve_config(str(fast_config(tmp_path)), ["model=3", "model.d_r=4"])
+
+    def test_set_object_merges_into_its_block(self, tmp_path):
+        # it used to replace the whole block, dropping the file's hidden=12
+        cfg = resolve_config(str(fast_config(tmp_path)), ['model={"d_r": 4}'])
+        assert (cfg["model"]["d_r"], cfg["model"]["hidden"], cfg["model"]["d_g"]) == (4, 12, 6)
+
+    def test_settable_keys(self):
+        # every setting, as a dotted path: adding or removing one is an edit here
+        def leaves(doc, prefix=""):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{key}.")
+                else:
+                    yield prefix + key
+
+        assert list(leaves(cli.DEFAULT_CONFIG)) == [
+            "protocol", "seeds", "n_holdout", "window", "horizon",
+            "paths.dataset", "paths.dataset_target", "paths.checkpoint", "paths.bank", "paths.report_dir",
+            "synthetic.n_regions", "synthetic.d_c", "synthetic.n_archetypes", "synthetic.t_total",
+            "synthetic.noise_scale", "synthetic.seed", "synthetic.target_seed",
+            "model.d_g", "model.d_z", "model.hidden", "model.head_blocks", "model.gcn_layers", "model.d_r",
+            "model.d_h", "model.d_ec", "model.d_ex", "model.psi_hidden", "model.retrieval_enabled",
+            "train.epochs", "train.batch_size", "train.learning_rate", "train.lambda_ret", "train.k",
+            "train.temperature", "train.n_inactive_per_batch", "train.patience",
+        ]
+
 
 class TestGenerate:
     def test_generate_writes_dataset_and_prints_counts(self, tmp_path, capsys):
@@ -233,6 +270,24 @@ class TestGenerate:
         code = run_cli("--config", str(p), "--set", "synthetic.t_total=30", "generate")
         assert code == 3
         assert "too small" in capsys.readouterr().err
+
+    # a non-positive window or horizon used to exit 0 with bogus window
+    # counts; n_regions=0 wrote a city without regions, n_regions=-3 ended
+    # in a traceback (exit 1); a window longer than the city exited 3 after
+    # writing the dataset
+    @pytest.mark.parametrize("override,code,prefix", [
+        ("window=0", 2, "config error: window must be at least 1"),
+        ("horizon=0", 2, "config error: horizon must be at least 1"),
+        ("window=-2", 2, "config error: window must be at least 1"),
+        ("synthetic.n_regions=0", 3, "data error: n_regions must be at least 1"),
+        ("synthetic.n_regions=-3", 3, "data error: n_regions must be at least 1"),
+        ("window=300", 3, "data error: window + horizon exceeds dataset length"),
+    ])
+    def test_bad_size_exits_without_dataset(self, override, code, prefix, tmp_path, capsys):
+        p = fast_config(tmp_path)
+        assert run_cli("--config", str(p), "--set", override, "generate") == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "source.json").exists()
 
     def test_transfer_generates_both_cities(self, tmp_path, capsys):
         p = fast_config(tmp_path, protocol="transfer")
@@ -440,6 +495,12 @@ def _one_more_entry(head: bytes) -> bytes:
     return json.dumps({**header, "n_entries": header["n_entries"] + 1}).encode()
 
 
+def _shift_norm_mean(head: bytes) -> bytes:
+    header = json.loads(head)
+    header["norm"]["mean"] += 0.5
+    return json.dumps(header).encode()
+
+
 def _drop_future(body: bytes) -> bytes:
     entries = np.load(io.BytesIO(body))
     out = io.BytesIO()
@@ -479,15 +540,17 @@ def _read_ckpt(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def _edit_ckpt(edit):
     """A corruption that applies edit(header, params) and writes the result
-    back with a parameter list, body and checksum that agree, so that only
-    the edit itself is wrong."""
+    back with a parameter list, body, norm and checksum that agree, so that
+    only the edit itself is wrong."""
 
     def corrupt(path: Path) -> None:
         header, params = _read_ckpt(path)
         edit(header, params)
         flat = np.concatenate([v.reshape(-1) for v in params.values()])
         header["params"] = [[name, list(v.shape)] for name, v in params.items()]
-        header["params_checksum"] = hashlib.sha256(flat.tobytes()).hexdigest()
+        norm = header.get("norm", {})
+        norm = np.array([norm.get("mean", 0.0), norm.get("std", 1.0)])
+        header["params_checksum"] = hashlib.sha256(flat.tobytes() + norm.tobytes()).hexdigest()
         out = io.BytesIO()
         np.save(out, flat)
         path.write_bytes(json.dumps(header).encode() + b"\n" + out.getvalue())
@@ -594,6 +657,21 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert ("data error" if code == 3 else "artifact version mismatch") in err
 
+    # the checksum did not cover the norm: an edited mean went unnoticed
+    # without retrieval (exit 0, other forecasts), and with retrieval the
+    # bank was blamed for it
+    @pytest.mark.parametrize("retrieval", [True, False], ids=["retrieval", "graph-only"])
+    def test_norm_edit_exits_5_naming_the_checkpoint(self, retrieval, trained_artifacts, tmp_path, capsys):
+        p = copy_artifacts(trained_artifacts, tmp_path)
+        switch = ["--set", f"model.retrieval_enabled={json.dumps(retrieval)}"]
+        if not retrieval:
+            assert run_cli("--config", str(p), *switch, "train") == 0
+        _edit_raw(tmp_path / "checkpoint.bin", header=_shift_norm_mean)
+        capsys.readouterr()
+        assert run_cli("--config", str(p), *switch, "eval") == 5
+        err = capsys.readouterr().err
+        assert "artifact version mismatch" in err and str(tmp_path / "checkpoint.bin") in err
+
 
 class TestCheckpointRoundTrip:
     def model(self) -> Model:
@@ -620,9 +698,8 @@ class TestCheckpointRoundTrip:
             assert loaded.store[name].value.tobytes() == var.value.tobytes()
         assert loaded.encoder_version() == model.encoder_version()
         header, _ = _read_ckpt(tmp_path / "checkpoint.bin")
-        assert header["format"] == "bankcast-checkpoint-v2"
+        assert header["format"] == "bankcast-checkpoint-v3"
         assert header["config_hash"] == "0123abcd"
-        assert header["encoder_version"] == model.encoder_version()
 
     def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
         save_checkpoint(self.model(), tmp_path / "checkpoint.bin")

@@ -165,29 +165,27 @@ class TestSplits:
         return [ForecastInstance(t=i, history=z, future=z, mask=np.ones(1), hour=0) for i in range(n)]
 
     def test_table_counts_shanghai(self):
-        tr, va, te = split_windows(self.make_instances(4234), (0.6, 0.2, 0.2))
+        tr, va, te = split_windows(self.make_instances(4234))
         assert (len(tr), len(va), len(te)) == (2540, 847, 847)
 
     def test_table_counts_hangzhou(self):
-        tr, va, te = split_windows(self.make_instances(4361), (0.6, 0.2, 0.2))
+        tr, va, te = split_windows(self.make_instances(4361))
         assert (len(tr), len(va), len(te)) == (2617, 872, 872)
 
     def test_rounding(self):
-        tr, va, te = split_windows(self.make_instances(10), (0.8, 0.1, 0.1))
-        assert (len(tr), len(va), len(te)) == (8, 1, 1)
+        # round(4.2), round(1.4), remainder
+        tr, va, te = split_windows(self.make_instances(7))
+        assert (len(tr), len(va), len(te)) == (4, 1, 2)
 
     def test_chronological_and_disjoint(self):
-        tr, va, te = split_windows(self.make_instances(50), (0.6, 0.2, 0.2))
+        tr, va, te = split_windows(self.make_instances(50))
         anchors = [i.t for i in tr] + [i.t for i in va] + [i.t for i in te]
         assert anchors == list(range(50))
 
     def test_empty_split_rejected(self):
-        with pytest.raises(DataError):
-            split_windows(self.make_instances(3), (0.98, 0.01, 0.01))
-
-    def test_bad_ratios_rejected(self):
-        with pytest.raises(DataError):
-            split_windows(self.make_instances(10), (0.5, 0.2, 0.2))
+        # 3 windows split 2/1/0
+        with pytest.raises(DataError, match="leaves an empty part"):
+            split_windows(self.make_instances(3))
 
 
 class TestMaskedView:
